@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
@@ -48,35 +47,10 @@ class GraphCfg:
 
 
 @dataclass
-class SimCfg:
-    t_max: int = 100
-    width: int = 8
-    depth: int = 8
-
-
-@dataclass
-class EvalCfg:
-    episodes: int = 100
-    seeds: tuple = (1, 2, 3)
-    t_max: int = 100
-
-
-@dataclass
-class PathsCfg:
-    scenes: str = ""
-    graph: str = ""
-    checkpoint: str = ""
-    report: str = ""
-
-
-@dataclass
 class Config:
     embedding: EmbeddingCfg = field(default_factory=EmbeddingCfg)
     graph: GraphCfg = field(default_factory=GraphCfg)
-    sim: SimCfg = field(default_factory=SimCfg)
     train: TrainConfig = field(default_factory=TrainConfig)
-    eval: EvalCfg = field(default_factory=EvalCfg)
-    paths: PathsCfg = field(default_factory=PathsCfg)
     split: str = "general"
     hidden: int = nn.DEFAULT_HIDDEN
     stats_every: int = 100
@@ -85,23 +59,16 @@ class Config:
 _SECTIONS = {
     "embedding": ("embedding", EmbeddingCfg),
     "graph": ("graph", GraphCfg),
-    "sim": ("sim", SimCfg),
     "train": ("train", TrainConfig),
-    "eval": ("eval", EvalCfg),
-    "paths": ("paths", PathsCfg),
 }
 _TOP_KEYS = {"split": str, "hidden": int, "stats_every": int}
 
 
 def _coerce(raw: str, target):
-    if isinstance(target, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(target, int):
         return int(raw)
     if isinstance(target, float):
         return float(raw)
-    if isinstance(target, tuple):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
     return raw
 
 
@@ -146,14 +113,15 @@ def load_config(path) -> Config:
         raise ConfigError(f"config file not found: {path}") from None
 
 
-def provider_from_config(cfg: Config) -> EmbeddingProvider:
-    if cfg.embedding.mode == "synthetic":
-        return EmbeddingProvider.synthetic(dim=cfg.embedding.dim, seed=cfg.embedding.seed)
-    if cfg.embedding.mode == "file":
-        if not cfg.embedding.path:
+def provider_from_config(emb: EmbeddingCfg) -> EmbeddingProvider:
+    """The one place the CLI builds an embedding provider."""
+    if emb.mode == "synthetic":
+        return EmbeddingProvider.synthetic(dim=emb.dim, seed=emb.seed)
+    if emb.mode == "file":
+        if not emb.path:
             raise ConfigError("embedding.mode=file requires embedding.path")
-        return load_embeddings(cfg.embedding.path)
-    raise ConfigError(f"unknown embedding.mode {cfg.embedding.mode!r}")
+        return load_embeddings(emb.path)
+    raise ConfigError(f"unknown embedding.mode {emb.mode!r}")
 
 
 def _load_scene_dir(path) -> list:
@@ -248,7 +216,7 @@ def cmd_build_graph(args) -> int:
         raise UsageError(
             f"room category mismatch: --room {args.room} but scenes contain {sorted(rooms)}"
         )
-    provider = EmbeddingProvider.synthetic(dim=args.dim, seed=args.emb_seed)
+    provider = provider_from_config(EmbeddingCfg(dim=args.dim, seed=args.emb_seed))
     graphs = [
         build_scene_graph(s, provider, zones=args.zones, eps=args.eps, seed=args.seed)
         for s in scenes
@@ -278,7 +246,6 @@ def checkpoint_meta(cfg: Config, graph: KnowledgeGraph) -> dict:
         "value_coef": _float_str(cfg.train.value_coef),
         "lr": _float_str(cfg.train.lr),
         "t_max": cfg.train.t_max,
-        "sync_mode": cfg.train.sync_mode,
     }
     if cfg.embedding.mode == "file":
         meta["emb_path"] = cfg.embedding.path
@@ -295,12 +262,6 @@ def cmd_train(args) -> int:
         cfg.train.workers = args.workers
     if args.split is not None:
         cfg.split = args.split.replace("-", "_")
-    cap = os.environ.get("ZONEGRAPH_THREADS")
-    if cap:
-        try:
-            cfg.train.workers = max(1, min(cfg.train.workers, int(cap)))
-        except ValueError:
-            raise ConfigError(f"ZONEGRAPH_THREADS must be an integer, got {cap!r}") from None
 
     scenes = _load_scene_dir(args.scenes)
     graph = load_graph(args.graph)
@@ -309,7 +270,7 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"graph is for {graph.room_category!r} but scenes contain {sorted(rooms)}"
         )
-    provider = provider_from_config(cfg)
+    provider = provider_from_config(cfg.embedding)
     if provider.dim != graph.feature_dim:
         raise ConfigError(
             f"embedding dim {provider.dim} != graph feature length {graph.feature_dim}"
@@ -348,16 +309,14 @@ def load_checkpoint_bundle(path):
     try:
         nodes = arrays.pop("graph_nodes")
         edges = arrays.pop("graph_edges")
-        room = meta.get("room", "")
-        dim = int(meta["D"])
+        emb = EmbeddingCfg(dim=int(meta["D"]), mode=meta.get("emb_mode", "synthetic"),
+                           seed=int(meta.get("emb_seed", 0)), path=meta.get("emb_path", ""))
     except KeyError as e:
         raise FormatError(f"checkpoint missing field {e}") from None
-    graph = KnowledgeGraph(nodes, edges, room)
-    if meta.get("emb_mode", "synthetic") == "file":
-        provider = load_embeddings(meta["emb_path"])
-    else:
-        provider = EmbeddingProvider.synthetic(dim=dim, seed=int(meta.get("emb_seed", 0)))
-    return arrays, graph, provider, meta
+    except ValueError as e:
+        raise FormatError(f"checkpoint field is not an integer: {e}") from None
+    graph = KnowledgeGraph(nodes, edges, meta.get("room", ""))
+    return arrays, graph, provider_from_config(emb), meta
 
 
 def cmd_eval(args) -> int:
@@ -410,7 +369,7 @@ def cmd_inspect_graph(args) -> int:
         lossless = fh.read() == text
     print(f"M={graph.zone_count} N={graph.feature_dim} room={graph.room_category} "
           f"lossless_roundtrip={lossless}")
-    provider = EmbeddingProvider.synthetic(dim=graph.feature_dim, seed=args.emb_seed)
+    provider = provider_from_config(EmbeddingCfg(dim=graph.feature_dim, seed=args.emb_seed))
     embs = np.array([provider.object_embedding(c) for c in GOAL_CATEGORIES])
     for m in range(graph.zone_count):
         node = graph.nodes[m]

@@ -63,10 +63,6 @@ class EmbeddingProvider:
         return tuple(sorted(self._table))
 
 
-def object_embedding(provider: EmbeddingProvider, category: str) -> np.ndarray:
-    return provider.object_embedding(category)
-
-
 def image_feature(provider: EmbeddingProvider, observation: Observation,
                   grid: int = DEFAULT_GRID) -> np.ndarray:
     """Splat visible objects into a G x G x D grid.

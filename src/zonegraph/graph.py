@@ -39,9 +39,6 @@ class PositionFeatureMap:
     features: np.ndarray  # (S, D)
     counts: np.ndarray  # (S,) detection counts
 
-    def index_of(self, pos: tuple[float, float]) -> int:
-        return self.positions.index(pos)
-
 
 @dataclass
 class ZoneAssignment:

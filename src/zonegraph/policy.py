@@ -1,4 +1,5 @@
-"""Low-level controller assembly and advantage-actor-critic training.
+"""Low-level controller assembly and synchronous advantage-actor-critic
+(A2C) training: one optimizer step per round of `workers` episodes.
 
 A rollout records, per step, the raw features and the discrete choices the
 controllers made. The update recomputes the differentiable pipeline
@@ -11,9 +12,8 @@ estimator.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class TrainConfig:
     lr: float = 1e-4
     t_max: int = 100
     seed: int = 0
-    sync_mode: str = "synchronous"  # or "asynchronous"
 
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -49,8 +48,6 @@ class TrainConfig:
             raise ConfigError("loss coefficients must be >= 0")
         if self.episodes < 0 or self.workers < 1 or self.t_max < 1:
             raise ConfigError("episodes >= 0, workers >= 1, t_max >= 1 required")
-        if self.sync_mode not in ("synchronous", "asynchronous"):
-            raise ConfigError(f"unknown sync_mode {self.sync_mode!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
 
@@ -63,7 +60,6 @@ class TrajStep:
     subgoal: int
     prev_action: int  # -1 on the first step
     action: int
-    log_prob: float
     value: float
     reward: float
     done: bool
@@ -154,7 +150,7 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
             action = nn.greedy_action(logits)
         else:
             action = nn.sample_action(rng, logits)
-        _, event = step(state, Action(action))
+        event = step(state, Action(action))
         steps.append(
             TrajStep(
                 img=img,
@@ -163,7 +159,6 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
                 subgoal=plan.subgoal,
                 prev_action=prev_action,
                 action=action,
-                log_prob=float(nn.log_softmax(logits)[action]),
                 value=value,
                 reward=reward(event),
                 done=state.terminated,
@@ -363,10 +358,10 @@ def _allowed_goals_by_scene(scenes: list[Scene], allowed_goals) -> dict[str, lis
 def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
           provider: EmbeddingProvider, allowed_goals=None, hidden: int = nn.DEFAULT_HIDDEN,
           stats_every: int = 100, stats_sink=None, params: nn.Params | None = None) -> TrainResult:
-    """Train the policy. Synchronous mode rolls `workers` episodes per round
-    with pre-update parameters, sums their gradients in worker-index order and
-    applies one optimizer step, which makes runs bitwise reproducible for a
-    seed. Asynchronous mode serializes updates from free-running threads."""
+    """Train the policy with synchronous A2C. Each round rolls `workers`
+    episodes with the pre-update parameters, sums their gradients in
+    worker-index order and applies one optimizer step, which makes runs
+    bitwise reproducible for a seed."""
     config.validate()
     if not scenes:
         raise ConfigError("no training scenes")
@@ -381,13 +376,13 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
     len_100: deque = deque(maxlen=100)
     skipped = 0
 
-    def run_episode(index: int, snapshot: nn.Params) -> Trajectory:
+    def run_episode(index: int) -> Trajectory:
         rng = _episode_rng(config.seed, index)
         scene = scenes[int(rng.integers(len(scenes)))]
         goals = goals_by_scene[scene.id]
         goal = goals[int(rng.integers(len(goals)))]
         est = reset_episode(scene, goal, seed=int(rng.integers(2**63)), t_max=config.t_max)
-        return rollout(est, snapshot, graph, provider, rng)
+        return rollout(est, params, graph, provider, rng)
 
     def record(traj: Trajectory, update_stats: dict, episode: int) -> None:
         nonlocal skipped
@@ -411,37 +406,14 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
             if stats_sink is not None:
                 stats_sink(rec)
 
-    if config.sync_mode == "synchronous":
-        episode = 0
-        while episode < config.episodes:
-            batch = min(config.workers, config.episodes - episode)
-            trajs = [run_episode(episode + w, params) for w in range(batch)]
-            update_stats = a2c_update(trajs, params, adam, graph, config)
-            for w, traj in enumerate(trajs):
-                record(traj, update_stats if w == batch - 1 else {}, episode + w)
-            episode += batch
-    else:
-        lock = threading.Lock()
-        counter = {"next": 0}
-
-        def worker():
-            while True:
-                with lock:
-                    index = counter["next"]
-                    if index >= config.episodes:
-                        return
-                    counter["next"] += 1
-                    snapshot = {k: v.copy() for k, v in params.items()}
-                traj = run_episode(index, snapshot)
-                with lock:
-                    update_stats = a2c_update([traj], params, adam, graph, config)
-                    record(traj, update_stats, index)
-
-        threads = [threading.Thread(target=worker) for _ in range(config.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    episode = 0
+    while episode < config.episodes:
+        batch = min(config.workers, config.episodes - episode)
+        trajs = [run_episode(episode + w) for w in range(batch)]
+        update_stats = a2c_update(trajs, params, adam, graph, config)
+        for w, traj in enumerate(trajs):
+            record(traj, update_stats if w == batch - 1 else {}, episode + w)
+        episode += batch
 
     return TrainResult(
         params=params,

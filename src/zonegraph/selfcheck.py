@@ -222,7 +222,6 @@ def check_gradients() -> tuple[bool, str]:
             subgoal=int(rng.integers(m)),
             prev_action=prev,
             action=int(rng.integers(6)),
-            log_prob=0.0,
             value=0.0,
             reward=-0.01 if t < 2 else 5.0,
             done=t == 2,

@@ -11,7 +11,7 @@ within 1.5 m at that moment) or when the step budget runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from importlib import resources
 
@@ -145,11 +145,6 @@ class EpisodeState:
     terminated: bool = False
     success: bool = False
     traveled: float = 0.0  # meters actually moved
-    start_pose: Pose = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.start_pose is None:
-            self.start_pose = self.pose
 
 
 def _bearing(dx: float, dz: float, yaw: int) -> float:
@@ -183,8 +178,8 @@ def goal_visible(scene: Scene, pose: Pose, goal: str) -> bool:
     return any(s.category == goal for s in visible_objects(scene, pose).visible)
 
 
-def step(state: EpisodeState, action: Action) -> tuple[Observation, str]:
-    """Advance one action. Returns (observation at the new pose, event tag).
+def step(state: EpisodeState, action: Action) -> str:
+    """Advance one action and return its event tag.
 
     Events: moved, blocked, rotated, looked, clamped, success, failed_done,
     timeout. Done evaluated before the step cap, so a successful Done on the
@@ -228,7 +223,7 @@ def step(state: EpisodeState, action: Action) -> tuple[Observation, str]:
         state.terminated = True
         state.success = False
         event = "timeout"
-    return visible_objects(state.scene, pose), event
+    return event
 
 
 def reset_episode(scene: Scene, goal: str, seed: int, t_max: int = DEFAULT_T_MAX) -> EpisodeState:

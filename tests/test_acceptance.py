@@ -357,7 +357,7 @@ def _a2c_case(rng):
             subgoal=int(rng.integers(m)),
             prev_action=prev,
             action=int(rng.integers(6)),
-            log_prob=0.0, value=0.0,
+            value=0.0,
             reward=-0.01 if t < 2 else 5.0,
             done=t == 2,
         ))
@@ -480,7 +480,7 @@ def trained_world():
     scenes = [generate_scene("kitchen", (8, 8), s) for s in range(4)]
     graph = merge_graphs([build_scene_graph(s, prov, zones=8, eps=0.5, seed=0) for s in scenes])
     split = zero_shot_split()
-    cfg = TrainConfig(episodes=20000, workers=1, seed=0, sync_mode="synchronous")
+    cfg = TrainConfig(episodes=20000, workers=1, seed=0)
     t0 = time.time()
     result = train(cfg, scenes, graph, prov, allowed_goals=split.train_goals)
     return {

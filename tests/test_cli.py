@@ -1,5 +1,5 @@
 import json
-import os
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +27,12 @@ class TestConfig:
         embedding.dim = 16
         train.episodes = 5      # inline comment
         train.lr = 0.001
-        eval.seeds = 4,5,6
         split = zero_shot
         """
         cfg = parse_config_text(text)
         assert cfg.embedding.dim == 16
         assert cfg.train.episodes == 5
         assert cfg.train.lr == 0.001
-        assert cfg.eval.seeds == (4, 5, 6)
         assert cfg.split == "zero_shot"
 
     def test_unknown_key_rejected(self):
@@ -42,12 +40,30 @@ class TestConfig:
             parse_config_text("train.bogus = 3")
         with pytest.raises(ConfigError):
             parse_config_text("nonsense = 3")
-        with pytest.raises(ConfigError):
-            parse_config_text("other.episodes = 3")
+        for text in ("other.episodes = 3", "sim.width = 9", "eval.seeds = 4",
+                     "paths.report = x"):
+            with pytest.raises(ConfigError):
+                parse_config_text(text)
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("train.episodes = many")
+
+    def test_readme_defaults_match_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Defaults (all overridable):", 1)[1].split("```")[1]
+        listed = [line.split("#", 1)[0].partition("=")[0].strip()
+                  for line in block.splitlines() if line.split("#", 1)[0].strip()]
+        defaults = Config()
+        settable = []
+        for f in fields(defaults):
+            value = getattr(defaults, f.name)
+            if is_dataclass(value):
+                settable += [f"{f.name}.{g.name}" for g in fields(value)]
+            else:
+                settable.append(f.name)
+        assert sorted(listed) == sorted(settable)
+        assert parse_config_text(block) == defaults
 
 
 class TestGenScenes:
@@ -200,21 +216,26 @@ class TestTrainEval:
         assert code != 0
         assert capsys.readouterr().err.startswith("error category=format:")
 
+    @pytest.mark.parametrize("field, bad, category", [
+        ("emb_mode=synthetic", "emb_mode=file", "config"),  # file mode without emb_path
+        ("D=16", "D=sixteen", "format"),
+    ])
+    def test_eval_bad_checkpoint_header(self, pipeline, tmp_path, capsys, field, bad, category):
+        header, _, body = (pipeline / "model.ckpt").read_text().partition("\n")
+        assert f" {field} " in header and "emb_path" not in header
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text(header.replace(f" {field} ", f" {bad} ") + "\n" + body)
+        code = run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
+                    "--episodes", "1", "--seeds", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error category={category}:")
+
     def test_missing_file_error_category(self, tmp_path, capsys):
         code = run(["eval", "--ckpt", str(tmp_path / "nope.ckpt"),
                     "--scenes", str(tmp_path), "--episodes", "1", "--seeds", "1"])
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error category=")
-
-    def test_thread_cap_env(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZONEGRAPH_THREADS", "1")
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text("embedding.dim = 16\ntrain.episodes = 8\ntrain.workers = 8\n"
-                       "train.t_max = 5\nhidden = 16\n")
-        assert run(["train", "--scenes", str(pipeline / "scenes"),
-                    "--graph", str(pipeline / "g.kg"), "--config", str(cfg),
-                    "--out", str(tmp_path / "capped.ckpt")]) == 0
 
 
 class TestSelfcheck:

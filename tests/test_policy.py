@@ -202,7 +202,7 @@ class TestReturnsAndLoss:
                 subgoal=int(rng.integers(m)),
                 prev_action=prev,
                 action=int(rng.integers(6)),
-                log_prob=0.0, value=0.0,
+                value=0.0,
                 reward=-0.01 if t < 2 else 5.0,
                 done=t == 2,
             ))
@@ -297,11 +297,3 @@ class TestTrain:
         result = train(cfg, [scene], graph, small_provider, hidden=8)
         lam = float(nn.sigmoid(result.params["lambda_raw"]))
         assert 0.0 < lam < 1.0
-
-    def test_asynchronous_mode_runs(self, small_provider):
-        scene, graph = tiny_world(small_provider)
-        cfg = TrainConfig(episodes=16, workers=3, seed=4, t_max=10, sync_mode="asynchronous")
-        result = train(cfg, [scene], graph, small_provider, hidden=8)
-        assert sum(result.goal_log.values()) == 16
-        for v in result.params.values():
-            assert np.all(np.isfinite(v))

@@ -146,16 +146,16 @@ class TestStep:
         scene = make_scene(6, 6, [("Sink", 0, 0, "mid")] * 4)
         st = reset_episode(scene, "Sink", seed=0)
         st.pose = Pose(1.0, 1.0, 0, 0)
-        _, event = step(st, Action.ROTATE_LEFT)
+        event = step(st, Action.ROTATE_LEFT)
         assert st.pose.yaw == 315 and event == "rotated"
-        _, _ = step(st, Action.ROTATE_RIGHT)
+        step(st, Action.ROTATE_RIGHT)
         assert st.pose.yaw == 0
 
     def test_blocked_move_is_noop_with_event(self):
         scene = make_scene(6, 6, [("Sink", 2, 3, "mid")], blocked=[(2, 3)])
         st = reset_episode(scene, "Sink", seed=0)
         st.pose = Pose(1.0, 1.0, 0, 0)
-        _, event = step(st, Action.MOVE_AHEAD)
+        event = step(st, Action.MOVE_AHEAD)
         assert event == "blocked"
         assert (st.pose.x, st.pose.z) == (1.0, 1.0)
 
@@ -163,7 +163,7 @@ class TestStep:
         scene = make_scene(4, 4, [("Sink", 0, 0, "mid")])
         st = reset_episode(scene, "Sink", seed=0)
         st.pose = Pose(0.0, 0.0, 180, 0)
-        _, event = step(st, Action.MOVE_AHEAD)
+        event = step(st, Action.MOVE_AHEAD)
         assert event == "blocked" and (st.pose.x, st.pose.z) == (0.0, 0.0)
 
     def test_pitch_clamps(self):
@@ -172,32 +172,32 @@ class TestStep:
         st.pose = Pose(1.0, 1.0, 0, 0)
         step(st, Action.LOOK_DOWN)
         assert st.pose.pitch == -30
-        _, event = step(st, Action.LOOK_DOWN)
+        event = step(st, Action.LOOK_DOWN)
         assert event == "clamped" and st.pose.pitch == -30
         step(st, Action.LOOK_UP)
         step(st, Action.LOOK_UP)
-        _, event = step(st, Action.LOOK_UP)
+        event = step(st, Action.LOOK_UP)
         assert event == "clamped" and st.pose.pitch == 30
 
     def test_done_with_goal_in_view_succeeds(self):
         scene = make_scene(8, 8, [("Sink", 2, 4, "mid")])  # (1.0, 2.0)
         st = reset_episode(scene, "Sink", seed=0)
         st.pose = Pose(1.0, 1.0, 0, 0)  # goal 1.0 m dead ahead
-        _, event = step(st, Action.DONE)
+        event = step(st, Action.DONE)
         assert event == "success" and st.terminated and st.success
 
     def test_done_without_goal_fails_and_terminates(self):
         scene = make_scene(8, 8, [("Sink", 6, 6, "mid")])
         st = reset_episode(scene, "Sink", seed=0)
         st.pose = Pose(0.0, 0.0, 180, 0)
-        _, event = step(st, Action.DONE)
+        event = step(st, Action.DONE)
         assert event == "failed_done" and st.terminated and not st.success
 
     def test_timeout_terminates_without_success(self):
         scene = make_scene(6, 6, [("Sink", 5, 5, "mid")])
         st = reset_episode(scene, "Sink", seed=0, t_max=3)
         for _ in range(3):
-            _, event = step(st, Action.ROTATE_LEFT)
+            event = step(st, Action.ROTATE_LEFT)
         assert st.terminated and not st.success and event == "timeout"
         assert st.step_count == 3
 
@@ -216,7 +216,7 @@ class TestStep:
             st = reset_episode(scene, goal, seed=trial, t_max=60)
             while not st.terminated:
                 before = st.pose
-                _, event = step(st, Action(int(rng.integers(6))))
+                event = step(st, Action(int(rng.integers(6))))
                 p = st.pose
                 assert p.x % CELL == 0 and p.z % CELL == 0
                 assert scene.is_reachable(p.x, p.z)
