@@ -40,16 +40,8 @@ class EmbeddingCfg:
 
 
 @dataclass
-class GraphCfg:
-    zones: int = DEFAULT_ZONES
-    eps: float = DEFAULT_EPS
-    seed: int = 0
-
-
-@dataclass
 class Config:
     embedding: EmbeddingCfg = field(default_factory=EmbeddingCfg)
-    graph: GraphCfg = field(default_factory=GraphCfg)
     train: TrainConfig = field(default_factory=TrainConfig)
     split: str = "general"
     hidden: int = nn.DEFAULT_HIDDEN
@@ -58,7 +50,6 @@ class Config:
 
 _SECTIONS = {
     "embedding": ("embedding", EmbeddingCfg),
-    "graph": ("graph", GraphCfg),
     "train": ("train", TrainConfig),
 }
 _TOP_KEYS = {"split": str, "hidden": int, "stats_every": int}
@@ -304,17 +295,36 @@ def cmd_train(args) -> int:
 
 
 def load_checkpoint_bundle(path):
-    """Split a checkpoint into (policy params, graph, provider, meta)."""
+    """Split a checkpoint into (policy params, graph, provider, meta). The
+    arrays must be exactly the policy parameters of the header's D, N and H
+    (names and shapes as nn.param_shapes gives them) plus the (M, N) graph
+    nodes and (M, M) edges, all finite; anything else is a FormatError."""
     arrays, meta = nn.load_checkpoint(path)
     try:
-        nodes = arrays.pop("graph_nodes")
-        edges = arrays.pop("graph_edges")
-        emb = EmbeddingCfg(dim=int(meta["D"]), mode=meta.get("emb_mode", "synthetic"),
+        dim, n_feat, zones, hidden = (int(meta[k]) for k in ("D", "N", "M", "H"))
+        emb = EmbeddingCfg(dim=dim, mode=meta.get("emb_mode", "synthetic"),
                            seed=int(meta.get("emb_seed", 0)), path=meta.get("emb_path", ""))
     except KeyError as e:
         raise FormatError(f"checkpoint missing field {e}") from None
     except ValueError as e:
         raise FormatError(f"checkpoint field is not an integer: {e}") from None
+    if min(dim, n_feat, zones, hidden) < 1:
+        raise FormatError("checkpoint sizes D, N, M and H must be positive")
+    expected = nn.param_shapes(dim, n_feat, hidden)
+    expected.update(graph_nodes=(zones, n_feat), graph_edges=(zones, zones))
+    if set(arrays) != set(expected):
+        raise FormatError(
+            f"checkpoint arrays: missing {sorted(set(expected) - set(arrays))}, "
+            f"unexpected {sorted(set(arrays) - set(expected))}"
+        )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
+                              f"expected {shape} for D={dim} N={n_feat} M={zones} H={hidden}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise FormatError(f"checkpoint array {name!r} holds non-finite values")
+    nodes = arrays.pop("graph_nodes")
+    edges = arrays.pop("graph_edges")
     graph = KnowledgeGraph(nodes, edges, meta.get("room", ""))
     return arrays, graph, provider_from_config(emb), meta
 

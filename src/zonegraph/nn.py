@@ -17,15 +17,27 @@ _SEED_MASK = (1 << 64) - 1
 
 Params = dict  # name -> np.ndarray
 
-PARAM_SHAPES = (
-    "gcn_w1", "gcn_w2", "lstm_wx", "lstm_wh", "lstm_b",
-    "actor_w", "actor_b", "critic_w", "critic_b", "lambda_raw",
-)
-
 
 def input_size(dim: int, node_dim: int) -> int:
     # pooled image feature + goal embedding + graph feature + one-hot action
     return 2 * dim + node_dim + NUM_ACTIONS
+
+
+def param_shapes(dim: int, node_dim: int, hidden: int = DEFAULT_HIDDEN) -> dict:
+    """Name -> shape of every policy parameter; init_params draws these."""
+    f = input_size(dim, node_dim)
+    return {
+        "gcn_w1": (node_dim, node_dim),
+        "gcn_w2": (node_dim, node_dim),
+        "lstm_wx": (f, 4 * hidden),
+        "lstm_wh": (hidden, 4 * hidden),
+        "lstm_b": (4 * hidden,),
+        "actor_w": (hidden, NUM_ACTIONS),
+        "actor_b": (NUM_ACTIONS,),
+        "critic_w": (hidden,),
+        "critic_b": (),
+        "lambda_raw": (),
+    }
 
 
 # Mean-pooling the 7x7 image grid leaves ~1-3 occupied cells of 49, so the
@@ -51,23 +63,23 @@ DONE_LOGIT_BIAS = -3.0
 
 def init_params(dim: int, node_dim: int, hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> Params:
     rng = np.random.default_rng(seed & _SEED_MASK)
-    f = input_size(dim, node_dim)
+    shapes = param_shapes(dim, node_dim, hidden)
 
-    def mat(rows, cols, scale):
-        return rng.standard_normal((rows, cols)) * scale
+    def mat(name, scale):
+        return rng.standard_normal(shapes[name]) * scale
 
-    lstm_wx = mat(f, 4 * hidden, 1.0 / np.sqrt(f))
+    lstm_wx = mat("lstm_wx", 1.0 / np.sqrt(input_size(dim, node_dim)))
     actor_b = np.zeros(NUM_ACTIONS)
     actor_b[NUM_ACTIONS - 1] = DONE_LOGIT_BIAS
     return {
-        "gcn_w1": mat(node_dim, node_dim, 1.0 / np.sqrt(node_dim)),
-        "gcn_w2": mat(node_dim, node_dim, 1.0 / np.sqrt(node_dim)),
+        "gcn_w1": mat("gcn_w1", 1.0 / np.sqrt(node_dim)),
+        "gcn_w2": mat("gcn_w2", 1.0 / np.sqrt(node_dim)),
         "lstm_wx": lstm_wx,
-        "lstm_wh": mat(hidden, 4 * hidden, 1.0 / np.sqrt(hidden)),
-        "lstm_b": np.zeros(4 * hidden),
-        "actor_w": mat(hidden, NUM_ACTIONS, 0.01 / np.sqrt(hidden)),
+        "lstm_wh": mat("lstm_wh", 1.0 / np.sqrt(hidden)),
+        "lstm_b": np.zeros(shapes["lstm_b"]),
+        "actor_w": mat("actor_w", 0.01 / np.sqrt(hidden)),
         "actor_b": actor_b,
-        "critic_w": rng.standard_normal(hidden) * (0.01 / np.sqrt(hidden)),
+        "critic_w": mat("critic_w", 0.01 / np.sqrt(hidden)),
         "critic_b": np.zeros(()),
         "lambda_raw": np.zeros(()),
     }
@@ -127,6 +139,39 @@ def gcn_backward(cache, dout: np.ndarray, w1: np.ndarray, w2: np.ndarray):
     return dw1, dw2, dnodes
 
 
+def gcn_forward_seq(w1: np.ndarray, w2: np.ndarray, nodes_seq: np.ndarray, ahat: np.ndarray,
+                    rows: np.ndarray):
+    """Row `rows[t]` of gcn_forward(w1, w2, nodes_seq[t], ahat) for each of
+    the T stacked (M, N) node matrices, as broadcast matmuls: (T, N)."""
+    if nodes_seq.ndim != 3 or nodes_seq.shape[2] != w1.shape[0] \
+            or ahat.shape[0] != nodes_seq.shape[1] or len(rows) != nodes_seq.shape[0]:
+        raise UsageError("gcn_forward_seq: inconsistent shapes")
+    t_len, m, n = nodes_seq.shape
+    ax = ahat @ nodes_seq
+    z1 = (ax.reshape(t_len * m, n) @ w1).reshape(t_len, m, -1)
+    a_rows = ahat[rows]  # (T, M)
+    ah_rows = np.matmul(a_rows[:, None, :], relu(z1))[:, 0]
+    out = ah_rows @ w2
+    cache = (ax, z1, ah_rows, a_rows, ahat)
+    return out, cache
+
+
+def gcn_backward_seq(cache, dout_rows: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """Reverse of gcn_forward_seq: dout_rows[t] is the gradient of step t's
+    selected row, and every other output row has zero gradient. Returns
+    dw1, dw2 summed over the steps and dnodes per step, (T, M, N)."""
+    ax, z1, ah_rows, a_rows, ahat = cache
+    t_len, m, n = ax.shape
+    dw2 = ah_rows.T @ dout_rows
+    # ahat.T @ dah where dah is zero but for row rows[t], which holds dah_row
+    dah_row = dout_rows @ w2.T
+    dz1 = a_rows[:, :, None] * dah_row[:, None, :] * (z1 > 0)
+    flat = dz1.reshape(t_len * m, -1)
+    dw1 = ax.reshape(t_len * m, n).T @ flat
+    dnodes = ahat.T @ (flat @ w1.T).reshape(t_len, m, n)
+    return dw1, dw2, dnodes
+
+
 # ---------------------------------------------------------------------------
 # Gated recurrent cell (input, forget, output gates + tanh candidate)
 
@@ -168,6 +213,60 @@ def lstm_backward(cache, dh2: np.ndarray, dc2: np.ndarray, wx: np.ndarray, wh: n
     return dwx, dwh, db, dx, dh_prev, dc_prev
 
 
+def lstm_forward_seq(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, xs: np.ndarray):
+    """lstm_step over the rows of xs (T, F) from a zero state; returns the
+    hidden states (T, H). The input projection xs @ wx is one GEMM, so only
+    h @ wh and the gates run step by step."""
+    t_len = xs.shape[0]
+    hid = wh.shape[0]
+    zx = xs @ wx + b
+    gates = np.empty((t_len, 4 * hid))  # sigmoid(i | f | o) | tanh(g), per step
+    hs = np.zeros((t_len + 1, hid))  # hs[t] and cs[t] enter step t
+    cs = np.zeros((t_len + 1, hid))
+    tcs = np.empty((t_len, hid))
+    for t in range(t_len):
+        z = zx[t] + hs[t] @ wh
+        gate = gates[t]
+        gate[: 3 * hid] = sigmoid(z[: 3 * hid])
+        gate[3 * hid :] = np.tanh(z[3 * hid :])
+        cs[t + 1] = gate[hid : 2 * hid] * cs[t] + gate[:hid] * gate[3 * hid :]
+        tcs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = gate[2 * hid : 3 * hid] * tcs[t]
+    cache = (xs, hs, cs, gates, tcs)
+    return hs[1:], cache
+
+
+def lstm_backward_seq(cache, dhs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
+    """Reverse of lstm_forward_seq, given the gradient dhs (T, H) that
+    reaches each hidden state from outside the recurrence. Returns dwx, dwh,
+    db and the gate pre-activation gradients dz (T, 4H); the input gradient
+    is dz @ wx.T, of which a caller forms only the columns it needs. Only
+    wh @ dz runs step by step; the weight gradients are one GEMM each."""
+    xs, hs, cs, gates, tcs = cache
+    t_len, hid = dhs.shape
+    i, f, o, g = (gates[:, k * hid : (k + 1) * hid] for k in range(4))
+    dc_from_h = o * (1.0 - tcs * tcs)
+    # dz_t = [dc*fi, dc*ff, dh*fo, dc*fg] with dc, dh the step's cell and
+    # hidden gradients; the factors do not depend on them
+    factors = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                        tcs * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+    dz = np.empty((t_len, 4, hid))
+    dh_next = np.zeros(hid)
+    dc_next = np.zeros(hid)
+    for t in range(t_len - 1, -1, -1):
+        dh = dhs[t] + dh_next
+        dc = dc_next + dh * dc_from_h[t]
+        np.multiply(factors[t], dc, out=dz[t])
+        np.multiply(factors[t, 2], dh, out=dz[t, 2])
+        dh_next = wh @ dz[t].reshape(4 * hid)
+        dc_next = dc * f[t]
+    dz = dz.reshape(t_len, 4 * hid)
+    dwx = xs.T @ dz
+    dwh = hs[:-1].T @ dz
+    db = dz.sum(axis=0)
+    return dwx, dwh, db, dz
+
+
 # ---------------------------------------------------------------------------
 # Actor-critic heads
 
@@ -187,9 +286,27 @@ def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray,
     return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
 
 
+def actor_critic_seq(actor_w, actor_b, critic_w, critic_b, hs: np.ndarray):
+    """actor_critic for every row of hs (T, H): logits (T, A), values (T,)."""
+    return hs @ actor_w + actor_b, hs @ critic_w + critic_b
+
+
+def actor_critic_backward_seq(actor_w, critic_w, hs: np.ndarray, dlogits: np.ndarray,
+                              dvalues: np.ndarray):
+    """Reverse of actor_critic_seq: weight gradients summed over the rows,
+    and the hidden-state gradient per row (T, H)."""
+    dactor_w = hs.T @ dlogits
+    dactor_b = dlogits.sum(axis=0)
+    dcritic_w = hs.T @ dvalues
+    dcritic_b = np.asarray(dvalues.sum())
+    dhs = dlogits @ actor_w.T + dvalues[:, None] * critic_w
+    return dactor_w, dactor_b, dcritic_w, dcritic_b, dhs
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Over the last axis, so a (T, A) array is normalized row by row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -226,8 +343,11 @@ class AdamState:
 
 
 def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> None:
-    """In-place adaptive-moment step with bias correction. Rejects non-finite
-    gradients without touching the parameters or the moments."""
+    """Adaptive-moment step with bias correction. The parameter arrays and
+    the moments are updated in place, with the elementwise operations of
+    p - lr * (m / c1) / (sqrt(v / c2) + eps) in that order, so the result is
+    bitwise that of the out-of-place formula. Rejects non-finite gradients
+    without touching the parameters or the moments."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for {k!r}")
@@ -236,11 +356,18 @@ def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> N
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for k, g in grads.items():
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
-        mhat = state.m[k] / c1
-        vhat = state.v[k] / c2
-        params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + state.eps)
+        m, v = state.m[k], state.v[k]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        step = np.divide(m, c1, out=np.empty_like(m))  # `out` keeps 0-d arrays arrays
+        step *= lr
+        den = np.divide(v, c2, out=np.empty_like(v))
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        params[k] -= step
 
 
 # ---------------------------------------------------------------------------

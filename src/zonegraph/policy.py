@@ -194,6 +194,11 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
     through the GCN weights, the recurrent cell, the heads and, via the
     graph-adaptation recurrence, into the raw blend parameter.
 
+    Each trajectory is processed as one sequence: every recurrent-cell input
+    is known before the recurrence runs, so the GCN, the input projection,
+    the heads and every weight gradient are batched over its T steps, and
+    only h @ Wh, Wh @ dz and the blend recurrence run step by step.
+
     The policy term weights advantages as constants (the usual actor-critic
     estimator). `frozen_advantages` pins those weights explicitly, which is
     what a finite-difference probe of this objective needs; training leaves
@@ -205,9 +210,8 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
     w1, w2 = params["gcn_w1"], params["gcn_w2"]
     wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
     aw, ab, cw, cb = params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"]
-    hidden = nn.hidden_size(params)
     dim = trajectories[0].goal_emb.shape[0]
-    n_feat = graph.feature_dim
+    gra = slice(2 * dim, 2 * dim + graph.feature_dim)
     ahat = nn.normalize_adjacency(graph.edges)
     total_loss = 0.0
     policy_loss = value_loss = entropy_sum = 0.0
@@ -216,31 +220,28 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
 
     for traj_idx, traj in enumerate(trajectories):
         t_len = len(traj.steps)
-        adapted = graph.nodes.copy()
-        h = np.zeros(hidden)
-        c = np.zeros(hidden)
-        old_rows = []
-        gcn_caches = []
-        lstm_caches = []
-        h_list = []
-        logits_list = []
-        values = np.zeros(t_len)
-        for t, st in enumerate(traj.steps):
-            old_row = adapted[st.zone].copy()
-            adapted[st.zone] = lam * st.f_obs + (1.0 - lam) * old_row
-            old_rows.append(old_row)
-            gcn_out, gcache = nn.gcn_forward(w1, w2, adapted, ahat)
-            gcn_caches.append(gcache)
-            f_gra = gcn_out[st.subgoal]
-            x = nn.CELL_INPUT_GAIN * compose_input(
-                st.img, traj.goal_emb, f_gra, st.prev_action, traj.mask
-            )
-            h, c, lcache = nn.lstm_step(wx, wh, b, x, h, c)
-            lstm_caches.append(lcache)
-            h_list.append(h)
-            logits, value = nn.actor_critic(aw, ab, cw, cb, h)
-            logits_list.append(logits)
-            values[t] = value
+        rows = np.arange(t_len)
+        zones = [st.zone for st in traj.steps]
+        subgoals = np.array([st.subgoal for st in traj.steps])
+        actions = np.array([st.action for st in traj.steps])
+        f_obs = np.array([st.f_obs for st in traj.steps])
+
+        # nodes_seq[t] is the adapted graph the GCN sees at step t
+        nodes_seq = np.empty((t_len,) + graph.nodes.shape)
+        old_rows = np.empty_like(f_obs)
+        adapted = graph.nodes
+        for t, zone in enumerate(zones):
+            old_rows[t] = adapted[zone]
+            nodes_seq[t] = adapted
+            nodes_seq[t, zone] = lam * f_obs[t] + (1.0 - lam) * old_rows[t]
+            adapted = nodes_seq[t]
+        f_gra, gcache = nn.gcn_forward_seq(w1, w2, nodes_seq, ahat, subgoals)
+        xs = nn.CELL_INPUT_GAIN * np.array([
+            compose_input(st.img, traj.goal_emb, f_gra[t], st.prev_action, traj.mask)
+            for t, st in enumerate(traj.steps)
+        ])
+        hs, lcache = nn.lstm_forward_seq(wx, wh, b, xs)
+        logits, values = nn.actor_critic_seq(aw, ab, cw, cb, hs)
 
         returns = compute_returns([s.reward for s in traj.steps], config.gamma)
         if frozen_advantages is not None:
@@ -249,55 +250,49 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
             advantages = returns - values  # constants in the policy term
         advantage_list.append(advantages)
 
-        dlogits_list = []
-        dvalues = np.zeros(t_len)
-        for t in range(t_len):
-            logp = nn.log_softmax(logits_list[t])
-            p = np.exp(logp)
-            ent = float(-(p * logp).sum())
-            a = traj.steps[t].action
-            total_loss += -advantages[t] * logp[a]
-            policy_loss += -advantages[t] * logp[a]
-            total_loss += config.value_coef * (returns[t] - values[t]) ** 2
-            value_loss += (returns[t] - values[t]) ** 2
-            total_loss += -config.entropy_coef * ent
-            entropy_sum += ent
-            onehot = np.zeros(NUM_ACTIONS)
-            onehot[a] = 1.0
-            dlogits = -advantages[t] * (onehot - p) + config.entropy_coef * p * (logp + ent)
-            dlogits_list.append(dlogits)
-            dvalues[t] = config.value_coef * 2.0 * (values[t] - returns[t])
+        logp = nn.log_softmax(logits)
+        p = np.exp(logp)
+        ent = -(p * logp).sum(axis=1)
+        traj_policy = float(-(advantages * logp[rows, actions]).sum())
+        traj_value = float(((returns - values) ** 2).sum())
+        traj_entropy = float(ent.sum())
+        total_loss += (traj_policy + config.value_coef * traj_value
+                       - config.entropy_coef * traj_entropy)
+        policy_loss += traj_policy
+        value_loss += traj_value
+        entropy_sum += traj_entropy
+        onehot = np.zeros_like(p)
+        onehot[rows, actions] = 1.0
+        dlogits = (-advantages[:, None] * (onehot - p)
+                   + config.entropy_coef * p * (logp + ent[:, None]))
+        dvalues = config.value_coef * 2.0 * (values - returns)
 
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
-        d_adapted = np.zeros((graph.zone_count, n_feat))
+        daw, dab, dcw, dcb, dh_head = nn.actor_critic_backward_seq(aw, cw, hs, dlogits, dvalues)
+        grads["actor_w"] += daw
+        grads["actor_b"] += dab
+        grads["critic_w"] += dcw
+        grads["critic_b"] += dcb
+        dwx, dwh, db, dz = nn.lstm_backward_seq(lcache, dh_head, wx, wh)
+        grads["lstm_wx"] += dwx
+        grads["lstm_wh"] += dwh
+        grads["lstm_b"] += db
+        if "gra" in traj.mask:
+            dgra = np.zeros_like(f_gra)
+        else:
+            dgra = nn.CELL_INPUT_GAIN * (dz @ wx[gra].T)
+        dw1, dw2, dnodes = nn.gcn_backward_seq(gcache, dgra, w1, w2)
+        grads["gcn_w1"] += dw1
+        grads["gcn_w2"] += dw2
+
+        # the blend recurrence, newest step first; d_adapted ends on the base
+        # nodes, which are constants
+        d_adapted = np.zeros_like(graph.nodes)
+        d_rows = np.empty_like(f_obs)  # d_adapted[zone] as step t blends it
         for t in range(t_len - 1, -1, -1):
-            st = traj.steps[t]
-            daw, dab, dcw, dcb, dh_head = nn.actor_critic_backward(
-                aw, cw, h_list[t], dlogits_list[t], dvalues[t]
-            )
-            grads["actor_w"] += daw
-            grads["actor_b"] += dab
-            grads["critic_w"] += dcw
-            grads["critic_b"] = grads["critic_b"] + dcb
-            dwx, dwh, db, dx, dh_next, dc_next = nn.lstm_backward(
-                lstm_caches[t], dh_head + dh_next, dc_next, wx, wh
-            )
-            grads["lstm_wx"] += dwx
-            grads["lstm_wh"] += dwh
-            grads["lstm_b"] += db
-            dgra = nn.CELL_INPUT_GAIN * dx[2 * dim : 2 * dim + n_feat]
-            if "gra" in traj.mask:
-                dgra = np.zeros_like(dgra)
-            dout = np.zeros((graph.zone_count, n_feat))
-            dout[st.subgoal] = dgra
-            dw1, dw2, dnodes = nn.gcn_backward(gcn_caches[t], dout, w1, w2)
-            grads["gcn_w1"] += dw1
-            grads["gcn_w2"] += dw2
-            d_adapted += dnodes
-            dlam += float(d_adapted[st.zone] @ (st.f_obs - old_rows[t]))
-            d_adapted[st.zone] *= 1.0 - lam
-        # d_adapted now sits on the base nodes, which are constants
+            d_adapted += dnodes[t]
+            d_rows[t] = d_adapted[zones[t]]
+            d_adapted[zones[t]] *= 1.0 - lam
+        dlam += float((d_rows * (f_obs - old_rows)).sum())
 
     grads["lambda_raw"] = grads["lambda_raw"] + dlam * lam * (1.0 - lam)
     stats = {

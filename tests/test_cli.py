@@ -41,7 +41,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("nonsense = 3")
         for text in ("other.episodes = 3", "sim.width = 9", "eval.seeds = 4",
-                     "paths.report = x"):
+                     "paths.report = x", "graph.zones = 8"):
             with pytest.raises(ConfigError):
                 parse_config_text(text)
 
@@ -229,6 +229,39 @@ class TestTrainEval:
                     "--episodes", "1", "--seeds", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error category={category}:")
+
+    @staticmethod
+    def _edit_array(text, name, edit):
+        """Apply edit(header_line, values_line) to one array of a ckpt-v1 text."""
+        lines = text.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.split()[:2] == ["array", name])
+        lines[at], lines[at + 1] = edit(lines[at], lines[at + 1])
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name, edit", [
+        ("critic_b", lambda head, values: (head, "nan")),
+        ("critic_b", lambda head, values: (head.replace("critic_b", "critic_bias"), values)),
+        ("actor_b", lambda head, values: ("array actor_b 5", " ".join(values.split()[:5]))),
+    ], ids=["nan-critic_b", "renamed-critic_b", "short-actor_b"])
+    def test_eval_rejects_malformed_checkpoint_arrays(self, pipeline, tmp_path, capsys, name, edit):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text(self._edit_array((pipeline / "model.ckpt").read_text(), name, edit))
+        code = run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
+                    "--episodes", "1", "--seeds", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
+
+    def test_checkpoint_with_unread_header_key_loads(self, pipeline, tmp_path):
+        # older checkpoints carry sync_mode=..., which nothing reads
+        header, _, body = (pipeline / "model.ckpt").read_text().partition("\n")
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_text(header + " sync_mode=synchronous\n" + body)
+        params, graph, _, meta = load_checkpoint_bundle(ckpt)
+        want, _, _, _ = load_checkpoint_bundle(pipeline / "model.ckpt")
+        assert meta["sync_mode"] == "synchronous"
+        for k in want:
+            np.testing.assert_array_equal(params[k], want[k])
 
     def test_missing_file_error_category(self, tmp_path, capsys):
         code = run(["eval", "--ckpt", str(tmp_path / "nope.ckpt"),

@@ -192,6 +192,97 @@ class TestHeads:
                     assert abs(fd - gflat[idx]) <= 1e-4 * max(abs(fd), abs(gflat[idx]), 1e-6)
 
 
+class TestSequenceKernels:
+    """The *_seq kernels against their per-step references, step by step."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def _close(got, want, tol):
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= tol * (scale if scale > 0 else 1.0)
+
+    def test_gcn_rows_and_gradients_match_per_step(self):
+        rng = np.random.default_rng(11)
+        t_len, m, n = 7, 4, 5
+        w1, w2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        ahat = nn.normalize_adjacency(random_edge_matrix(rng, m))
+        nodes_seq = rng.normal(size=(t_len, m, n))
+        rows = rng.integers(m, size=t_len)
+        dout_rows = rng.normal(size=(t_len, n))
+        out, cache = nn.gcn_forward_seq(w1, w2, nodes_seq, ahat, rows)
+        dw1, dw2, dnodes = nn.gcn_backward_seq(cache, dout_rows, w1, w2)
+        ref_dw1, ref_dw2 = np.zeros_like(w1), np.zeros_like(w2)
+        for t in range(t_len):
+            full, step_cache = nn.gcn_forward(w1, w2, nodes_seq[t], ahat)
+            self._close(out[t], full[rows[t]], self.TOL)
+            dout = np.zeros((m, n))
+            dout[rows[t]] = dout_rows[t]
+            a, b, d = nn.gcn_backward(step_cache, dout, w1, w2)
+            ref_dw1 += a
+            ref_dw2 += b
+            self._close(dnodes[t], d, self.TOL)
+        self._close(dw1, ref_dw1, self.TOL)
+        self._close(dw2, ref_dw2, self.TOL)
+
+    @pytest.mark.parametrize("t_len", [1, 9])
+    def test_lstm_states_and_gradients_match_per_step(self, t_len):
+        rng = np.random.default_rng(12)
+        f, h = 6, 5
+        wx = rng.normal(size=(f, 4 * h)) * 0.5
+        wh = rng.normal(size=(h, 4 * h)) * 0.5
+        b = rng.normal(size=4 * h) * 0.2
+        xs = rng.normal(size=(t_len, f))
+        dhs = rng.normal(size=(t_len, h))
+        hs, cache = nn.lstm_forward_seq(wx, wh, b, xs)
+        dwx, dwh, db, dz = nn.lstm_backward_seq(cache, dhs, wx, wh)
+        state = (np.zeros(h), np.zeros(h))
+        caches = []
+        for t in range(t_len):
+            hh, cc, step_cache = nn.lstm_step(wx, wh, b, xs[t], *state)
+            self._close(hs[t], hh, self.TOL)
+            state = (hh, cc)
+            caches.append(step_cache)
+        ref = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
+        dh_next, dc_next = np.zeros(h), np.zeros(h)
+        for t in range(t_len - 1, -1, -1):
+            a, w, d, dx, dh_next, dc_next = nn.lstm_backward(caches[t], dhs[t] + dh_next,
+                                                             dc_next, wx, wh)
+            for acc, g in zip(ref, (a, w, d)):
+                acc += g
+            self._close(dz[t] @ wx.T, dx, self.TOL)
+        for got, want in zip((dwx, dwh, db), ref):
+            self._close(got, want, self.TOL)
+
+    def test_heads_match_per_step(self):
+        rng = np.random.default_rng(13)
+        t_len, h = 6, 5
+        aw, ab = rng.normal(size=(h, nn.NUM_ACTIONS)), rng.normal(size=nn.NUM_ACTIONS)
+        cw, cb = rng.normal(size=h), np.array(0.3)
+        hs = rng.normal(size=(t_len, h))
+        dlogits = rng.normal(size=(t_len, nn.NUM_ACTIONS))
+        dvalues = rng.normal(size=t_len)
+        logits, values = nn.actor_critic_seq(aw, ab, cw, cb, hs)
+        grads = nn.actor_critic_backward_seq(aw, cw, hs, dlogits, dvalues)
+        ref = [np.zeros_like(aw), np.zeros_like(ab), np.zeros_like(cw), np.zeros(())]
+        for t in range(t_len):
+            lg, v = nn.actor_critic(aw, ab, cw, cb, hs[t])
+            self._close(logits[t], lg, self.TOL)
+            self._close(values[t], v, self.TOL)
+            *step, dh = nn.actor_critic_backward(aw, cw, hs[t], dlogits[t], dvalues[t])
+            for acc, g in zip(ref, step):
+                acc += g
+            self._close(grads[4][t], dh, self.TOL)
+        for got, want in zip(grads[:4], ref):
+            self._close(got, want, self.TOL)
+
+    def test_log_softmax_rows_equal_one_dimensional_calls(self):
+        logits = np.random.default_rng(14).normal(size=(8, nn.NUM_ACTIONS)) * 5
+        rows = nn.log_softmax(logits)
+        for t in range(len(logits)):
+            np.testing.assert_array_equal(rows[t], nn.log_softmax(logits[t]))
+
+
 class TestAdam:
     def test_zero_gradients_leave_params(self):
         params = nn.init_params(4, 4, hidden=4, seed=0)
@@ -222,6 +313,33 @@ class TestAdam:
         burn = 5
         assert all(losses[i + 1] < losses[i] for i in range(burn, 99))
         assert losses[-1] < losses[0] / 20
+
+    def test_in_place_update_is_bitwise_the_out_of_place_formula(self):
+        rng = np.random.default_rng(15)
+        params = nn.init_params(4, 3, hidden=4, seed=0)
+        params["lambda_raw"] = np.array(0.2)
+        arrays = {k: v for k, v in params.items()}  # the objects updated in place
+        state = nn.AdamState(params)
+        ref = {k: v.copy() for k, v in params.items()}
+        m = nn.zeros_like_params(params)
+        v = nn.zeros_like_params(params)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        for t in range(1, 7):
+            grads = {k: rng.normal(size=np.shape(p)) for k, p in params.items()}
+            grads["lambda_raw"] = np.float64(rng.normal())  # as the A2C update builds it
+            nn.adam_update(params, grads, state, lr=lr)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                mhat = m[k] / (1.0 - b1 ** t)
+                vhat = v[k] / (1.0 - b2 ** t)
+                ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+            for k in params:
+                assert params[k] is arrays[k] and params[k].shape == np.shape(ref[k])
+                np.testing.assert_array_equal(params[k], ref[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
+        assert params["critic_b"].shape == () and params["lambda_raw"] != 0.2
 
     def test_non_finite_gradient_rejected(self):
         params = {"w": np.zeros(3)}

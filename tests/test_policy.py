@@ -28,6 +28,115 @@ from zonegraph.sim import reset_episode
 from conftest import make_scene
 
 
+def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
+    """The update one step at a time through the finite-difference-tested
+    per-step kernels (nn.gcn_*, nn.lstm_*, nn.actor_critic*): the oracle
+    that the batched a2c_loss_and_grads must match."""
+    grads = nn.zeros_like_params(params)
+    lam = float(nn.sigmoid(params["lambda_raw"]))
+    w1, w2 = params["gcn_w1"], params["gcn_w2"]
+    wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
+    aw, ab, cw, cb = params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"]
+    hidden = nn.hidden_size(params)
+    dim = trajectories[0].goal_emb.shape[0]
+    n_feat = graph.feature_dim
+    ahat = nn.normalize_adjacency(graph.edges)
+    total_loss = 0.0
+    policy_loss = value_loss = entropy_sum = 0.0
+    dlam = 0.0
+    advantage_list = []
+
+    for traj_idx, traj in enumerate(trajectories):
+        t_len = len(traj.steps)
+        adapted = graph.nodes.copy()
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
+        old_rows, gcn_caches, lstm_caches, h_list, logits_list = [], [], [], [], []
+        values = np.zeros(t_len)
+        for t, st in enumerate(traj.steps):
+            old_row = adapted[st.zone].copy()
+            adapted[st.zone] = lam * st.f_obs + (1.0 - lam) * old_row
+            old_rows.append(old_row)
+            gcn_out, gcache = nn.gcn_forward(w1, w2, adapted, ahat)
+            gcn_caches.append(gcache)
+            f_gra = gcn_out[st.subgoal]
+            x = nn.CELL_INPUT_GAIN * compose_input(
+                st.img, traj.goal_emb, f_gra, st.prev_action, traj.mask
+            )
+            h, c, lcache = nn.lstm_step(wx, wh, b, x, h, c)
+            lstm_caches.append(lcache)
+            h_list.append(h)
+            logits, value = nn.actor_critic(aw, ab, cw, cb, h)
+            logits_list.append(logits)
+            values[t] = value
+
+        returns = compute_returns([s.reward for s in traj.steps], config.gamma)
+        if frozen_advantages is not None:
+            advantages = frozen_advantages[traj_idx]
+        else:
+            advantages = returns - values
+        advantage_list.append(advantages)
+
+        dlogits_list = []
+        dvalues = np.zeros(t_len)
+        for t in range(t_len):
+            logp = nn.log_softmax(logits_list[t])
+            p = np.exp(logp)
+            ent = float(-(p * logp).sum())
+            a = traj.steps[t].action
+            total_loss += -advantages[t] * logp[a]
+            policy_loss += -advantages[t] * logp[a]
+            total_loss += config.value_coef * (returns[t] - values[t]) ** 2
+            value_loss += (returns[t] - values[t]) ** 2
+            total_loss += -config.entropy_coef * ent
+            entropy_sum += ent
+            onehot = np.zeros(nn.NUM_ACTIONS)
+            onehot[a] = 1.0
+            dlogits = -advantages[t] * (onehot - p) + config.entropy_coef * p * (logp + ent)
+            dlogits_list.append(dlogits)
+            dvalues[t] = config.value_coef * 2.0 * (values[t] - returns[t])
+
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        d_adapted = np.zeros((graph.zone_count, n_feat))
+        for t in range(t_len - 1, -1, -1):
+            st = traj.steps[t]
+            daw, dab, dcw, dcb, dh_head = nn.actor_critic_backward(
+                aw, cw, h_list[t], dlogits_list[t], dvalues[t]
+            )
+            grads["actor_w"] += daw
+            grads["actor_b"] += dab
+            grads["critic_w"] += dcw
+            grads["critic_b"] = grads["critic_b"] + dcb
+            dwx, dwh, db, dx, dh_next, dc_next = nn.lstm_backward(
+                lstm_caches[t], dh_head + dh_next, dc_next, wx, wh
+            )
+            grads["lstm_wx"] += dwx
+            grads["lstm_wh"] += dwh
+            grads["lstm_b"] += db
+            dgra = nn.CELL_INPUT_GAIN * dx[2 * dim : 2 * dim + n_feat]
+            if "gra" in traj.mask:
+                dgra = np.zeros_like(dgra)
+            dout = np.zeros((graph.zone_count, n_feat))
+            dout[st.subgoal] = dgra
+            dw1, dw2, dnodes = nn.gcn_backward(gcn_caches[t], dout, w1, w2)
+            grads["gcn_w1"] += dw1
+            grads["gcn_w2"] += dw2
+            d_adapted += dnodes
+            dlam += float(d_adapted[st.zone] @ (st.f_obs - old_rows[t]))
+            d_adapted[st.zone] *= 1.0 - lam
+
+    grads["lambda_raw"] = grads["lambda_raw"] + dlam * lam * (1.0 - lam)
+    stats = {
+        "loss": float(total_loss),
+        "policy_loss": float(policy_loss),
+        "value_loss": float(value_loss),
+        "entropy": float(entropy_sum),
+        "advantages": advantage_list,
+    }
+    return float(total_loss), grads, stats
+
+
 def zero_params(dim, node_dim, hidden=8):
     return {k: np.zeros_like(v) for k, v in nn.init_params(dim, node_dim, hidden).items()}
 
@@ -230,6 +339,105 @@ class TestReturnsAndLoss:
         params, grads, loss_fn, rng = self._fd_case()
         scaled = {k: g * 1.001 for k, g in grads.items()}
         assert fd_check(loss_fn, params, scaled, rng, probes_per_array=6) > 1e-4
+
+
+def _random_trajectory(rng, m, n, d, length, mask=frozenset()):
+    steps = []
+    prev = -1
+    for t in range(length):
+        steps.append(TrajStep(
+            img=rng.standard_normal(d) * 0.3,
+            f_obs=rng.standard_normal(n) * 0.3,
+            zone=int(rng.integers(m)),
+            subgoal=int(rng.integers(m)),
+            prev_action=prev,
+            action=int(rng.integers(6)),
+            value=0.0,
+            reward=5.0 if t == length - 1 else -0.01,
+            done=t == length - 1,
+        ))
+        prev = steps[-1].action
+    return Trajectory(steps, "Bowl", rng.standard_normal(d), "s", True, frozenset(mask))
+
+
+def _rel_err(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = np.abs(want).max()
+    diff = np.abs(got - want).max()
+    return float(diff / scale) if scale > 0 else float(diff)
+
+
+class TestBatchedUpdateMatchesReference:
+    """a2c_loss_and_grads batches each trajectory over its steps; the
+    per-step _a2c_reference fixes what it computes. Summation order differs,
+    so the two agree to round-off, not bitwise."""
+
+    TOL = 1e-10
+
+    def _compare(self, hidden, lengths, masks, seed=0, frozen=False):
+        rng = np.random.default_rng(seed)
+        m, n, d = 5, 7, 6
+        graph = KnowledgeGraph(rng.standard_normal((m, n)) * 0.5,
+                               random_edge_matrix(rng, m), "kitchen")
+        params = nn.init_params(d, n, hidden=hidden, seed=seed)
+        params["lambda_raw"] = np.array(0.4)
+        params["actor_w"] = rng.standard_normal(params["actor_w"].shape) * 0.3
+        params["critic_w"] = rng.standard_normal(params["critic_w"].shape) * 0.3
+        trajs = [_random_trajectory(rng, m, n, d, t_len, mask)
+                 for t_len, mask in zip(lengths, masks)]
+        cfg = TrainConfig(gamma=0.95)
+        adv = [rng.standard_normal(t_len) for t_len in lengths] if frozen else None
+        loss, grads, stats = a2c_loss_and_grads(params, trajs, graph, cfg, frozen_advantages=adv)
+        ref_loss, ref_grads, ref_stats = _a2c_reference(params, trajs, graph, cfg,
+                                                        frozen_advantages=adv)
+        errors = {"loss": _rel_err(loss, ref_loss)}
+        errors.update({k: _rel_err(grads[k], ref_grads[k]) for k in params})
+        for key in ("policy_loss", "value_loss", "entropy"):
+            errors[key] = _rel_err(stats[key], ref_stats[key])
+        assert len(stats["advantages"]) == len(trajs)
+        for i, (a, r) in enumerate(zip(stats["advantages"], ref_stats["advantages"])):
+            errors[f"advantages[{i}]"] = _rel_err(a, r)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= self.TOL, (worst, errors[worst])
+        return grads
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("mask", [(), ("gra",), ("obj",), ("img", "act")])
+    def test_masks(self, hidden, mask):
+        grads = self._compare(hidden, [14], [mask])
+        if "gra" in mask:
+            assert not grads["gcn_w1"].any() and grads["lambda_raw"] == 0.0
+        else:
+            assert grads["gcn_w1"].any() and grads["lambda_raw"] != 0.0
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    def test_multi_trajectory_batch(self, hidden):
+        self._compare(hidden, [9, 1, 23, 4], [(), ("obj",), (), ("gra",)], seed=3)
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    def test_one_step_trajectory(self, hidden):
+        self._compare(hidden, [1], [()], seed=5)
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    def test_frozen_advantages(self, hidden):
+        self._compare(hidden, [11, 6], [(), ("img", "act")], seed=7, frozen=True)
+
+    def test_rollout_trajectories(self, small_provider):
+        # trajectories the policy itself rolls out, at the default hidden size
+        scene, graph = tiny_world(small_provider, zones=3)
+        params = nn.init_params(8, graph.feature_dim, seed=4)
+        trajs = [rollout(reset_episode(scene, goal, seed=i, t_max=30), params, graph,
+                         small_provider, rng=i)
+                 for i, goal in enumerate(("Sink", "Pan", "Bowl"))]
+        cfg = TrainConfig()
+        loss, grads, stats = a2c_loss_and_grads(params, trajs, graph, cfg)
+        ref_loss, ref_grads, ref_stats = _a2c_reference(params, trajs, graph, cfg)
+        assert _rel_err(loss, ref_loss) <= self.TOL
+        for k in params:
+            assert _rel_err(grads[k], ref_grads[k]) <= self.TOL, k
+        for a, r in zip(stats["advantages"], ref_stats["advantages"]):
+            assert _rel_err(a, r) <= self.TOL
 
 
 class TestTrain:
