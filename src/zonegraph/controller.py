@@ -30,13 +30,16 @@ class PlanResult:
 
 class GraphState:
     """Episode-local adapted graph. The base graph and its normalized
-    adjacency stay immutable; only the node-feature copy evolves."""
+    adjacency stay immutable; only the node-feature copy evolves. The
+    planner reads only the base edges, so its paths are memoised per
+    (current, target) pair for the life of the state."""
 
     def __init__(self, base: KnowledgeGraph, lam: float = 0.5):
         self.base = base
         self.lam = float(lam)
         self.ahat = normalize_adjacency(base.edges)
         self.adapted = base.nodes.copy()
+        self.paths: dict[tuple[int, int], tuple[list[int], float]] = {}
 
     def reset(self) -> None:
         self.adapted = self.base.nodes.copy()
@@ -115,7 +118,11 @@ def plan_subgoal(state: GraphState, current: int, target: int) -> PlanResult:
         raise UsageError("zone id out of range")
     if current == target:
         return PlanResult(current, target, target, 1.0, True)
-    path, prob = max_product_path(state.base.edges, current, target)
+    key = (current, target)
+    found = state.paths.get(key)
+    if found is None:
+        found = state.paths[key] = max_product_path(state.base.edges, current, target)
+    path, prob = found
     if not path:
         return PlanResult(current, target, current, 0.0, False)
     return PlanResult(current, target, path[1], prob, True)

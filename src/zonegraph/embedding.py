@@ -63,6 +63,23 @@ class EmbeddingProvider:
         return tuple(sorted(self._table))
 
 
+def _grid_cell(s, g: int) -> tuple[int, int]:
+    """(row, col) of a sighting: the column bins bearing over [-45, +45],
+    the row bins distance over [0, 1.5], both clamped to the grid."""
+    col = int((s.bearing + HALF_FOV) / (2 * HALF_FOV) * g)
+    row = int(s.distance / VIS_RANGE * g)
+    return min(max(row, 0), g - 1), min(max(col, 0), g - 1)
+
+
+def _unit_mean(total: np.ndarray, count) -> np.ndarray:
+    cell = total / count
+    n = np.linalg.norm(cell)
+    # keep already-unit means verbatim so idempotent cases stay exact
+    if n > 1e-12 and abs(n - 1.0) > 1e-12:
+        cell = cell / n
+    return cell
+
+
 def image_feature(provider: EmbeddingProvider, observation: Observation,
                   grid: int = DEFAULT_GRID) -> np.ndarray:
     """Splat visible objects into a G x G x D grid.
@@ -75,20 +92,37 @@ def image_feature(provider: EmbeddingProvider, observation: Observation,
     out = np.zeros((g, g, provider.dim))
     counts = np.zeros((g, g), dtype=int)
     for s in observation.visible:
-        col = int((s.bearing + HALF_FOV) / (2 * HALF_FOV) * g)
-        row = int(s.distance / VIS_RANGE * g)
-        col = min(max(col, 0), g - 1)
-        row = min(max(row, 0), g - 1)
+        row, col = _grid_cell(s, g)
         out[row, col] += provider.object_embedding(s.category)
         counts[row, col] += 1
     for row, col in zip(*np.nonzero(counts)):
-        cell = out[row, col] / counts[row, col]
-        n = np.linalg.norm(cell)
-        # keep already-unit means verbatim so idempotent cases stay exact
-        if n > 1e-12 and abs(n - 1.0) > 1e-12:
-            cell = cell / n
-        out[row, col] = cell
+        out[row, col] = _unit_mean(out[row, col], counts[row, col])
     return out
+
+
+def pooled_image_feature(provider: EmbeddingProvider, observation: Observation,
+                         grid: int = DEFAULT_GRID) -> np.ndarray:
+    """image_feature(...).mean(axis=(0, 1)) without the G x G x D grid.
+
+    The occupied cells are summed in row-major order and the sum divided by
+    G*G, which is the order and the arithmetic of the grid mean; the empty
+    cells it also adds are exact zeros. The result is bitwise the same.
+    """
+    g = int(grid)
+    cells: dict[tuple[int, int], list] = {}
+    for s in observation.visible:
+        key = _grid_cell(s, g)
+        emb = provider.object_embedding(s.category)
+        acc = cells.get(key)
+        if acc is None:
+            cells[key] = [emb.copy(), 1]
+        else:
+            acc[0] += emb
+            acc[1] += 1
+    total = np.zeros(provider.dim)
+    for key in sorted(cells):
+        total += _unit_mean(*cells[key])
+    return total / (g * g)
 
 
 def observation_feature(provider: EmbeddingProvider, observation: Observation) -> np.ndarray:

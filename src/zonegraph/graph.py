@@ -249,8 +249,13 @@ def graph_from_text(text: str) -> KnowledgeGraph:
         room = fields["room"]
     except (KeyError, ValueError):
         raise FormatError("line 1: header must carry M=<int> N=<int> room=<cat>") from None
+    if m < 1 or n < 1:
+        raise FormatError(f"line 1: M and N must be >= 1, got M={m} N={n}")
     if len(lines) < 1 + 2 * m:
         raise FormatError(f"expected {2 * m} matrix rows, file has {len(lines) - 1}")
+    for i in range(1 + 2 * m, len(lines)):
+        if lines[i].strip():
+            raise FormatError(f"line {i + 1}: unexpected content after the {2 * m} matrix rows")
 
     def parse_row(i: int, width: int) -> np.ndarray:
         parts = lines[i].split()
@@ -261,10 +266,10 @@ def graph_from_text(text: str) -> KnowledgeGraph:
         except ValueError:
             raise FormatError(f"line {i + 1}: unparsable float") from None
 
-    nodes = np.array([parse_row(1 + i, n) for i in range(m)]) if m else np.zeros((0, n))
-    edges = np.array([parse_row(1 + m + i, m) for i in range(m)]) if m else np.zeros((0, 0))
-    if m and (not np.allclose(edges, edges.T) or not np.allclose(np.diag(edges), 1.0)
-              or edges.min() < -1e-12 or edges.max() > 1.0 + 1e-12):
+    nodes = np.array([parse_row(1 + i, n) for i in range(m)])
+    edges = np.array([parse_row(1 + m + i, m) for i in range(m)])
+    if (not np.allclose(edges, edges.T) or not np.allclose(np.diag(edges), 1.0)
+            or edges.min() < -1e-12 or edges.max() > 1.0 + 1e-12):
         raise FormatError("edge matrix violates symmetry / diagonal / [0,1] bounds")
     if not np.all(np.isfinite(nodes)):
         raise FormatError("node matrix has non-finite entries")

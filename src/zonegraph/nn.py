@@ -7,6 +7,8 @@ central finite-difference test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import FormatError, NonFiniteError, UsageError
@@ -180,11 +182,9 @@ def lstm_step(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
               h: np.ndarray, c: np.ndarray):
     hid = wh.shape[0]
     z = x @ wx + h @ wh + b
-    zi, zf, zo, zg = np.split(z, 4)
-    i = sigmoid(zi)
-    f = sigmoid(zf)
-    o = sigmoid(zo)
-    g = np.tanh(zg)
+    gates = sigmoid(z[: 3 * hid])  # i | f | o, elementwise as one call
+    i, f, o = gates[:hid], gates[hid : 2 * hid], gates[2 * hid :]
+    g = np.tanh(z[3 * hid :])
     c2 = f * c + i * g
     tc = np.tanh(c2)
     h2 = o * tc
@@ -319,8 +319,16 @@ def entropy(logits: np.ndarray) -> float:
 
 
 def sample_action(rng: np.random.Generator, logits: np.ndarray) -> int:
+    """One draw from softmax(logits) by inverse CDF. This is the arithmetic
+    of Generator.choice(len(p), p=p) and consumes the same single double,
+    so the draw and the generator state after it are those of choice."""
     p = softmax(logits)
-    return int(rng.choice(len(p), p=p / p.sum()))
+    p = p / p.sum()
+    cdf = p.cumsum()
+    if not math.isfinite(cdf[-1]):  # a NaN anywhere in p reaches the total
+        raise NonFiniteError(f"non-finite action probabilities {p!r}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def greedy_action(logits: np.ndarray) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .controller import GraphState, adapt_graph, graph_feature, locate_current_zone, plan_subgoal, target_zone
-from .embedding import EmbeddingProvider, image_feature, observation_feature
+from .embedding import EmbeddingProvider, observation_feature, pooled_image_feature
 from .errors import ConfigError, NonFiniteError
 from .graph import KnowledgeGraph
 from .sim import Action, EpisodeState, NUM_ACTIONS, Scene, reset_episode, step, visible_objects
@@ -83,11 +83,6 @@ class Trajectory:
         return sum(s.reward for s in self.steps)
 
 
-def pool_spatial(spatial: np.ndarray) -> np.ndarray:
-    """Mean over all grid cells, zeros included."""
-    return spatial.mean(axis=(0, 1))
-
-
 def one_hot_action(prev_action: int) -> np.ndarray:
     act = np.zeros(NUM_ACTIONS)
     if prev_action >= 0:
@@ -134,8 +129,7 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
     steps: list[TrajStep] = []
     while not state.terminated:
         obs = visible_objects(state.scene, state.pose)
-        spatial = image_feature(provider, obs, grid=grid)
-        img = nn.IMG_INPUT_GAIN * pool_spatial(spatial)
+        img = nn.IMG_INPUT_GAIN * pooled_image_feature(provider, obs, grid=grid)
         f_obs = observation_feature(provider, obs)
         zone = locate_current_zone(gs, f_obs)
         adapt_graph(gs, f_obs, zone)

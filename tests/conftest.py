@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zonegraph.nn as nn
 from zonegraph.embedding import EmbeddingProvider
 from zonegraph.sim import CELL, ObjectInstance, Scene
 
@@ -15,6 +16,21 @@ def make_scene(width, depth, objects, blocked=(), room="kitchen", sid="test", se
     )
     return Scene(id=sid, room_category=room, width=width, depth=depth,
                  reachable=reach, objects=objs, seed=seed)
+
+
+def lstm_step_split(wx, wh, b, x, h, c):
+    """The recurrent cell through np.split, one activation call per gate:
+    the formula nn.lstm_step must reproduce bitwise, cache included."""
+    z = x @ wx + h @ wh + b
+    zi, zf, zo, zg = np.split(z, 4)
+    i = nn.sigmoid(zi)
+    f = nn.sigmoid(zf)
+    o = nn.sigmoid(zo)
+    g = np.tanh(zg)
+    c2 = f * c + i * g
+    tc = np.tanh(c2)
+    h2 = o * tc
+    return h2, c2, (x, h, c, i, f, o, g, tc)
 
 
 @pytest.fixture(scope="session")

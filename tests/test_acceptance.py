@@ -493,6 +493,7 @@ def trained_world():
     }
 
 
+@pytest.mark.slow
 def test_criterion_6_learning_signal(trained_world):
     w = trained_world
     train_goal_split = GoalSplit(w["split"].train_goals, w["split"].train_goals, "general")
@@ -506,6 +507,7 @@ def test_criterion_6_learning_signal(trained_world):
            f"(ratio {ratio:.2f}x >= 3x), trained in {w['train_seconds']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_zero_shot_protocol(trained_world):
     w = trained_world
     split = w["split"]
@@ -529,6 +531,7 @@ def test_criterion_7_zero_shot_protocol(trained_world):
            f"(ratio {ratio:.2f}x >= 2x)")
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation(trained_world):
     w = trained_world
     split = GoalSplit(w["split"].train_goals, w["split"].train_goals, "general")

@@ -270,6 +270,15 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error category=")
 
+    def test_train_rejects_negative_zone_count(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.kg"
+        bad.write_text("kg-v1 M=-1 N=16 room=kitchen\n")
+        code = run(["train", "--scenes", str(pipeline / "scenes"), "--graph", str(bad),
+                    "--episodes", "1", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
+
 
 class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):

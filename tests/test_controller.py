@@ -183,6 +183,26 @@ class TestPlan:
                     check *= edges[a, b]
                 assert prob == check
 
+    def test_memoised_plans_match_fresh_planner(self):
+        # one state answers every (current, target) pair, twice and in a
+        # shuffled order, with the plan an unmemoised planner gives
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            m = int(rng.integers(2, 8))
+            edges = random_edge_matrix(rng, m, density=float(rng.uniform(0.2, 1.0)))
+            gs = GraphState(graph_of(rng.normal(size=(m, 3)), edges), lam=0.5)
+            pairs = [(a, b) for a in range(m) for b in range(m) for _ in range(2)]
+            for k in rng.permutation(len(pairs)):
+                current, target = pairs[k]
+                adapt_graph(gs, rng.normal(size=3), current)  # adaptation leaves plans alone
+                plan = plan_subgoal(gs, current, target)
+                fresh = plan_subgoal(GraphState(graph_of(np.zeros((m, 3)), edges)), current, target)
+                assert plan == fresh
+            assert len(gs.paths) == m * (m - 1)
+            gs.reset()
+            assert plan_subgoal(gs, 0, m - 1) == plan_subgoal(
+                GraphState(graph_of(np.zeros((m, 3)), edges)), 0, m - 1)
+
     def test_power_scaling_preserves_selection(self):
         # raising every edge to a power c in (0, 1] scales all -log weights
         # by c and cannot change the optimal path or sub-goal

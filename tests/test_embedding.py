@@ -9,10 +9,13 @@ from zonegraph.embedding import (
     image_feature,
     load_embeddings,
     observation_feature,
+    pooled_image_feature,
     save_embeddings,
 )
 from zonegraph.errors import FormatError, UnknownCategoryError
-from zonegraph.sim import Observation, Pose, Sighting
+from zonegraph.sim import CELL, PITCHES, YAWS, Observation, Pose, Sighting, generate_scene, visible_objects
+
+from conftest import make_scene
 
 # computed once from synthetic(seed=0, D=64) over all 22 goal categories and
 # frozen as a regression fixture
@@ -113,6 +116,64 @@ class TestImageFeature:
         emb = provider.object_embedding("Kettle")
         cos = float(cell @ emb / (np.linalg.norm(cell) * np.linalg.norm(emb)))
         assert cos == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPooledImageFeature:
+    """pooled_image_feature against the grid mean it replaces, bitwise."""
+
+    @staticmethod
+    def _same(provider, observation, grid=7):
+        want = image_feature(provider, observation, grid=grid).mean(axis=(0, 1))
+        got = pooled_image_feature(provider, observation, grid=grid)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_no_sightings(self, provider):
+        self._same(provider, obs())
+        assert np.all(pooled_image_feature(provider, obs()) == 0.0)
+
+    def test_several_objects_in_one_cell(self, provider):
+        cell = [Sighting(c, 1, 3.0, 0.8) for c in ("Sink", "Pan", "Pot", "Sink")]
+        other = Sighting("Bowl", 1, -40.0, 0.1)
+        self._same(provider, obs(*cell))
+        self._same(provider, obs(other, *cell))
+        self._same(provider, obs(*cell, other))
+
+    def test_bins_clamped_at_both_edges(self, provider):
+        edges = [Sighting("Sink", 1, -45.0, 0.0), Sighting("Pan", 1, 45.0, 1.5),
+                 Sighting("Pot", 1, -45.0000001, 1.5000001), Sighting("Bowl", 1, 45.0000001, 0.0),
+                 Sighting("Kettle", 1, -50.0, -0.2), Sighting("Plate", 1, 50.0, 2.0)]
+        for s in edges:
+            self._same(provider, obs(s))
+        self._same(provider, obs(*edges))
+
+    def test_object_on_agents_cell(self, provider):
+        scene = make_scene(3, 3, [("Sink", 1, 1, "mid"), ("Pan", 2, 1, "mid")])
+        for yaw in YAWS:
+            view = visible_objects(scene, Pose(CELL, CELL, yaw, 0))
+            assert any(s.distance == 0.0 for s in view.visible)
+            self._same(provider, view)
+
+    @pytest.mark.parametrize("grid", [1, 3, 7])
+    def test_random_sightings(self, provider, grid):
+        rng = np.random.default_rng(grid)
+        cats = ("Sink", "Pan", "Pot", "Bowl", "Plate", "Kettle")
+        for _ in range(300):
+            k = int(rng.integers(0, 9))
+            view = obs(*(Sighting(cats[int(rng.integers(len(cats)))], 1,
+                                  float(rng.uniform(-46, 46)), float(rng.uniform(0, 1.51)))
+                         for _ in range(k)))
+            self._same(provider, view, grid=grid)
+
+    @pytest.mark.parametrize("room", ["kitchen", "bathroom"])
+    def test_every_view_of_generated_scenes(self, provider, room):
+        for seed in range(2):
+            scene = generate_scene(room, (8, 8), seed)
+            for ix, iz in scene.reachable_cells():
+                for yaw in YAWS:
+                    for pitch in PITCHES:
+                        self._same(provider,
+                                   visible_objects(scene, Pose(ix * CELL, iz * CELL, yaw, pitch)))
 
 
 class TestObservationFeature:

@@ -406,3 +406,22 @@ class TestGraphFile:
         text = "kg-v1 M=2 N=1 room=kitchen\n0.0\n1.0\n1.0 0.5\n0.4 1.0\n"
         with pytest.raises(FormatError):
             graph_from_text(text)
+
+    def test_trailing_content_rejected(self):
+        text = "kg-v1 M=1 N=1 room=kitchen\n0.0\n1.0\n0.5\n"
+        with pytest.raises(FormatError, match="line 4"):
+            graph_from_text(text)
+
+    def test_trailing_blank_lines_accepted(self):
+        g = graph_from_text("kg-v1 M=1 N=1 room=kitchen\n0.0\n1.0\n\n  \n")
+        assert g.zone_count == 1 and g.feature_dim == 1
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_zone_count_below_one_rejected(self, m):
+        with pytest.raises(FormatError, match="M and N"):
+            graph_from_text(f"kg-v1 M={m} N=1 room=kitchen\n")
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_feature_dim_below_one_rejected(self, n):
+        with pytest.raises(FormatError, match="M and N"):
+            graph_from_text(f"kg-v1 M=1 N={n} room=kitchen\n\n1.0\n")

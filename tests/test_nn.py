@@ -7,6 +7,8 @@ import zonegraph.nn as nn
 from zonegraph.errors import FormatError, NonFiniteError
 from zonegraph.selfcheck import random_edge_matrix
 
+from conftest import lstm_step_split
+
 
 class TestNormalizeAdjacency:
     def test_single_node(self):
@@ -139,6 +141,78 @@ class TestLstm:
                     flat[idx] = orig
                     fd = (lp - lm) / (2 * delta)
                     assert abs(fd - gflat[idx]) <= 1e-4 * max(abs(fd), abs(gflat[idx]), 1e-6)
+
+    @pytest.mark.parametrize("hidden", [1, 5, 128])
+    def test_bitwise_the_split_formula(self, hidden):
+        rng = np.random.default_rng(hidden)
+        f = 2 * 64 + 64 + 6
+        for scale in (0.1, 1.0, 30.0):
+            wx = rng.normal(size=(f, 4 * hidden)) * scale / np.sqrt(f)
+            wh = rng.normal(size=(hidden, 4 * hidden)) * scale / np.sqrt(hidden)
+            b = rng.normal(size=4 * hidden) * scale
+            h, c = np.zeros(hidden), np.zeros(hidden)
+            for _ in range(40):
+                x = rng.normal(size=f)
+                got = nn.lstm_step(wx, wh, b, x, h, c)
+                want = lstm_step_split(wx, wh, b, x, h, c)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert len(got[2]) == len(want[2])
+                for a, w in zip(got[2], want[2]):
+                    assert a.shape == w.shape and np.array_equal(a, w)
+                h, c = got[0], got[1]
+
+
+class TestSampleAction:
+    """nn.sample_action against Generator.choice on the same probabilities:
+    the same index, and the same generator state after the draw."""
+
+    @staticmethod
+    def _logit_cases(rng):
+        yield np.zeros(nn.NUM_ACTIONS)
+        for _ in range(6000):
+            yield rng.normal(size=nn.NUM_ACTIONS) * float(rng.choice([0.01, 1.0, 5.0, 20.0]))
+        for _ in range(2000):  # very peaked: one or two logits at +-50
+            v = rng.normal(size=nn.NUM_ACTIONS)
+            v[rng.integers(nn.NUM_ACTIONS, size=int(rng.integers(1, 3)))] = 50.0
+            v[int(rng.integers(nn.NUM_ACTIONS))] = -50.0
+            yield v
+        for _ in range(2000):  # ties among a few levels
+            yield rng.choice([-1.0, 0.0, 0.5, 3.0], size=nn.NUM_ACTIONS)
+        for _ in range(500):  # the choices of the trained policy: far below the rest
+            v = rng.normal(size=nn.NUM_ACTIONS)
+            v[-1] -= 50.0
+            yield v
+
+    def test_index_and_generator_state(self):
+        cases = list(self._logit_cases(np.random.default_rng(0)))
+        assert len(cases) >= 10_000
+        ours = np.random.default_rng(123)
+        ref = np.random.default_rng(123)
+        for logits in cases:
+            p = nn.softmax(logits)
+            want = int(ref.choice(len(p), p=p / p.sum()))
+            assert nn.sample_action(ours, logits) == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_draw_at_the_top_of_the_unit_interval(self):
+        # these probabilities accumulate to 1 - 2**-53; without the division
+        # by the last cumulative sum, a draw just below 1 would fall past
+        # the last action
+        logits = np.array([-1.29, 0.4, 0.43, 0.7, -1.18, -0.66])
+        p = nn.softmax(logits)
+        assert (p / p.sum()).cumsum()[-1] < 1.0
+
+        class TopDraw:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        assert nn.sample_action(TopDraw(), logits) == nn.NUM_ACTIONS - 1
+
+    @pytest.mark.parametrize("logits", [[0, 0, np.nan, 0, 0, 0], [0, 0, np.inf, 0, 0, 0],
+                                        [-np.inf] * 6], ids=["nan", "inf", "all-minus-inf"])
+    def test_non_finite_probabilities_rejected(self, logits):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            nn.sample_action(np.random.default_rng(0), np.array(logits, dtype=float))
 
 
 class TestHeads:

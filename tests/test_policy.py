@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import zonegraph.nn as nn
-from zonegraph.controller import GraphState
+from zonegraph.controller import (
+    GraphState,
+    adapt_graph,
+    graph_feature,
+    locate_current_zone,
+    max_product_path,
+    target_zone,
+)
+from zonegraph.embedding import EmbeddingProvider, image_feature, observation_feature
 from zonegraph.errors import ConfigError
 from zonegraph.graph import KnowledgeGraph, build_scene_graph
 from zonegraph.policy import (
@@ -16,16 +24,63 @@ from zonegraph.policy import (
     compose_input,
     compute_returns,
     one_hot_action,
-    pool_spatial,
     reward,
     rollout,
     train,
     _episode_rng,
 )
 from zonegraph.selfcheck import fd_check, random_edge_matrix
-from zonegraph.sim import reset_episode
+from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_objects
 
-from conftest import make_scene
+from conftest import lstm_step_split, make_scene
+
+
+def pool_spatial(spatial: np.ndarray) -> np.ndarray:
+    """Mean over all grid cells, zeros included."""
+    return spatial.mean(axis=(0, 1))
+
+
+def _rollout_reference(state, params, graph, provider, rng, greedy, mask):
+    """The rollout one stage at a time through the reference kernels: the
+    G x G x D image grid and its mean, an unmemoised planner, the split-gate
+    recurrent cell and Generator.choice. rollout must match it bitwise."""
+    gs = GraphState(graph, lam=float(nn.sigmoid(params["lambda_raw"])))
+    goal_emb = provider.object_embedding(state.goal)
+    z_target = target_zone(gs, goal_emb)
+    hidden = nn.hidden_size(params)
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    prev_action = -1
+    steps = []
+    while not state.terminated:
+        obs = visible_objects(state.scene, state.pose)
+        spatial = image_feature(provider, obs)
+        img = nn.IMG_INPUT_GAIN * pool_spatial(spatial)
+        f_obs = observation_feature(provider, obs)
+        zone = locate_current_zone(gs, f_obs)
+        adapt_graph(gs, f_obs, zone)
+        subgoal = z_target
+        if zone != z_target:
+            path, _ = max_product_path(graph.edges, zone, z_target)
+            subgoal = path[1] if path else zone
+        f_gra = graph_feature(params, gs, subgoal)
+        x = nn.CELL_INPUT_GAIN * compose_input(img, goal_emb, f_gra, prev_action, mask)
+        h, c, _ = lstm_step_split(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x, h, c)
+        logits, value = nn.actor_critic(
+            params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"], h
+        )
+        if greedy:
+            action = nn.greedy_action(logits)
+        else:
+            p = nn.softmax(logits)
+            action = int(rng.choice(len(p), p=p / p.sum()))
+        event = step(state, Action(action))
+        steps.append(TrajStep(img=img, f_obs=f_obs, zone=zone, subgoal=subgoal,
+                              prev_action=prev_action, action=action, value=value,
+                              reward=reward(event), done=state.terminated))
+        prev_action = action
+    return Trajectory(steps=steps, goal=state.goal, goal_emb=goal_emb,
+                      scene_id=state.scene.id, success=state.success, mask=mask)
 
 
 def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
@@ -254,6 +309,60 @@ class TestRollout:
                            small_provider, rng=seed)
             assert [s.done for s in traj.steps].count(True) == 1
             assert traj.steps[-1].done
+
+
+class TestRolloutMatchesReference:
+    """rollout against _rollout_reference, field by field and bitwise, with
+    the generator state after the episode."""
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        out = []
+        for seed, dim in ((0, 64), (3, 16)):
+            provider = EmbeddingProvider.synthetic(dim=dim, seed=0)
+            scene = generate_scene("kitchen", (8, 8), seed)
+            graph = build_scene_graph(scene, provider, zones=8, eps=0.5, seed=0)
+            params = nn.init_params(dim, graph.feature_dim, seed=seed)
+            # a sharper policy than the near-uniform initial one, so that
+            # episodes move, turn and stop for a range of reasons
+            params["actor_w"] = params["actor_w"] * 300.0
+            params["lambda_raw"] = np.array(0.8)
+            goals = sorted(scene.goal_categories_present())[:3]
+            out.append((scene, graph, provider, params, goals))
+        return out
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert (got.goal, got.scene_id, got.success, got.mask) == \
+            (want.goal, want.scene_id, want.success, want.mask)
+        assert np.array_equal(got.goal_emb, want.goal_emb)
+        assert got.length == want.length
+        for a, b in zip(got.steps, want.steps):
+            assert np.array_equal(a.img, b.img) and np.array_equal(a.f_obs, b.f_obs)
+            assert (a.zone, a.subgoal, a.prev_action, a.action, a.value, a.reward, a.done) == \
+                (b.zone, b.subgoal, b.prev_action, b.action, b.value, b.reward, b.done)
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    @pytest.mark.parametrize("mask", [(), ("img",), ("gra",), ("obj", "act")])
+    def test_bitwise_identical(self, worlds, greedy, mask):
+        mask = frozenset(mask)
+        lengths = set()
+        for w, (scene, graph, provider, params, goals) in enumerate(worlds):
+            for g, goal in enumerate(goals):
+                for t_max in (6, 100):
+                    seed = 100 * w + 10 * g + t_max
+                    st_a = reset_episode(scene, goal, seed=seed, t_max=t_max)
+                    st_b = reset_episode(scene, goal, seed=seed, t_max=t_max)
+                    rng_a = np.random.default_rng(seed)
+                    rng_b = np.random.default_rng(seed)
+                    got = rollout(st_a, params, graph, provider, rng_a, greedy=greedy, mask=mask)
+                    want = _rollout_reference(st_b, params, graph, provider, rng_b, greedy, mask)
+                    self._assert_same(got, want)
+                    assert (st_a.pose, st_a.step_count, st_a.success, st_a.traveled) == \
+                        (st_b.pose, st_b.step_count, st_b.success, st_b.traveled)
+                    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                    lengths.add(got.length)
+        assert len(lengths) >= 2  # episodes of several lengths were compared
 
 
 class TestReturnsAndLoss:
