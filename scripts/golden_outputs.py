@@ -1,0 +1,68 @@
+"""Write a fixed set of zonegraph outputs into one directory, so that two
+checkouts can be compared byte for byte.
+
+Every output comes from `zonegraph.cli.run`, on the benchmark's world (four
+8x8 kitchens seeded 0-3):
+
+    kitchen.kg                   the merged knowledge graph
+    train-w{1,8}.ckpt(.log)      48 zero-shot training episodes, seed 0,
+                                 stats every 16 episodes, 1 and 8 workers
+    eval.report                  bench/data/eval.ckpt, zero-shot, greedy,
+                                 150 episodes at seeds 1,2,3
+    eval-mask-gra.report         the same with the graph input masked
+    *.out                        each command's printed output
+
+The commands run inside the output directory with relative paths, so the
+printed output names no absolute path. To check that a change leaves every
+output as it was, run the script once against each checkout's `src/` and
+compare the two directories:
+
+    PYTHONPATH=<parent>/src python scripts/golden_outputs.py /tmp/before
+    PYTHONPATH=src python scripts/golden_outputs.py /tmp/after
+    diff -r /tmp/before /tmp/after
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from zonegraph import cli
+
+CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "eval.ckpt"
+EVAL = ["--ckpt", str(CHECKPOINT), "--scenes", "scenes", "--split", "zero-shot",
+        "--episodes", "150", "--seeds", "1,2,3"]
+
+
+def zonegraph(name: str, argv: list[str]) -> None:
+    """Run one subcommand, keeping its printed output in `<name>.out`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.run(argv)
+    Path(f"{name}.out").write_text(out.getvalue())
+    if code != 0:
+        raise SystemExit(f"{name}: exit {code}: {out.getvalue().strip()}")
+
+
+def main(outdir: str) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    os.chdir(outdir)
+    zonegraph("gen-scenes", ["gen-scenes", "--room", "kitchen", "--count", "4",
+                             "--size", "8x8", "--seed", "0", "--out", "scenes"])
+    zonegraph("build-graph", ["build-graph", "--scenes", "scenes", "--room", "kitchen",
+                              "--out", "kitchen.kg"])
+    Path("train.cfg").write_text("stats_every = 16\n")
+    for workers in (1, 8):
+        zonegraph(f"train-w{workers}", [
+            "train", "--scenes", "scenes", "--graph", "kitchen.kg", "--config", "train.cfg",
+            "--out", f"train-w{workers}.ckpt", "--episodes", "48", "--seed", "0",
+            "--workers", str(workers), "--split", "zero-shot"])
+    zonegraph("eval", ["eval", *EVAL, "--out", "eval.report"])
+    zonegraph("eval-mask-gra", ["eval", *EVAL, "--mask", "gra", "--out", "eval-mask-gra.report"])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: golden_outputs.py <outdir>")
+    main(sys.argv[1])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +18,10 @@ from .graph import KnowledgeGraph
 from .nn import gcn_forward, normalize_adjacency
 
 
-@dataclass
-class PlanResult:
-    current: int
-    target: int
-    subgoal: int
-    path_prob: float
-    reachable: bool
-
-
 class GraphState:
     """Episode-local adapted graph. The base graph and its normalized
     adjacency stay immutable; only the node-feature copy evolves. The
-    planner reads only the base edges, so its paths are memoised per
+    planner reads only the base edges, so its sub-goals are memoised per
     (current, target) pair for the life of the state."""
 
     def __init__(self, base: KnowledgeGraph, lam: float = 0.5):
@@ -39,10 +29,7 @@ class GraphState:
         self.lam = float(lam)
         self.ahat = normalize_adjacency(base.edges)
         self.adapted = base.nodes.copy()
-        self.paths: dict[tuple[int, int], tuple[list[int], float]] = {}
-
-    def reset(self) -> None:
-        self.adapted = self.base.nodes.copy()
+        self.subgoals: dict[tuple[int, int], int] = {}
 
     @property
     def zone_count(self) -> int:
@@ -113,19 +100,19 @@ def max_product_path(edges: np.ndarray, start: int, goal: int) -> tuple[list[int
     return path, prob
 
 
-def plan_subgoal(state: GraphState, current: int, target: int) -> PlanResult:
+def plan_subgoal(state: GraphState, current: int, target: int) -> int:
+    """The zone after `current` on the max edge-product path to `target`:
+    `target` itself when the two coincide, `current` when it is unreachable."""
     if not (0 <= current < state.zone_count and 0 <= target < state.zone_count):
         raise UsageError("zone id out of range")
     if current == target:
-        return PlanResult(current, target, target, 1.0, True)
+        return target
     key = (current, target)
-    found = state.paths.get(key)
-    if found is None:
-        found = state.paths[key] = max_product_path(state.base.edges, current, target)
-    path, prob = found
-    if not path:
-        return PlanResult(current, target, current, 0.0, False)
-    return PlanResult(current, target, path[1], prob, True)
+    subgoal = state.subgoals.get(key)
+    if subgoal is None:
+        path, _ = max_product_path(state.base.edges, current, target)
+        subgoal = state.subgoals[key] = path[1] if path else current
+    return subgoal
 
 
 def graph_feature(params: dict, state: GraphState, subgoal: int) -> np.ndarray:

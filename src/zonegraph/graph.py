@@ -121,7 +121,6 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
         log.info("k-means++ produced %d centers for requested %d (duplicate features)",
                  len(centers), zones)
 
-    labels = _nearest(x, centers)
     for _ in range(_KMEANS_MAX_ITER):
         labels = _nearest(x, centers)
         keep = [k for k in range(len(centers)) if np.any(labels == k)]
@@ -153,18 +152,18 @@ def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap
     if any(not mem for mem in members):
         raise UsageError("assignment has empty zones")
     nodes = np.array([feature_map.features[mem].mean(axis=0) for mem in members])
-    edges = np.eye(m)
-    pos = feature_map.positions
-    for a in range(m):
-        for b in range(a + 1, m):
-            hits = 0
-            for i in members[a]:
-                for j in members[b]:
-                    d = abs(pos[i][0] - pos[j][0]) + abs(pos[i][1] - pos[j][1])
-                    if d <= eps + _ADJ_TOL:
-                        hits += 1
-            e = hits / (len(members[a]) * len(members[b]))
-            edges[a, b] = edges[b, a] = e
+    pos = np.array(feature_map.positions)
+    dist = np.abs(pos[:, None, 0] - pos[None, :, 0]) + np.abs(pos[:, None, 1] - pos[None, :, 1])
+    near = (dist <= eps + _ADJ_TOL).astype(float)
+    onehot = np.zeros((len(pos), m))
+    for k, mem in enumerate(members):
+        onehot[mem, k] = 1.0
+    # hits[a, b] counts the pairs of a member of a and a member of b within
+    # eps: integers far below 2**53, so exact whatever the summation order
+    hits = onehot.T @ near @ onehot
+    sizes = np.array([len(mem) for mem in members], dtype=float)
+    edges = hits / np.outer(sizes, sizes)
+    np.fill_diagonal(edges, 1.0)
     return KnowledgeGraph(nodes=nodes, edges=edges, room_category=room_category)
 
 

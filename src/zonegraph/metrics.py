@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .categories import GOAL_SET, ZERO_SHOT_TEST_GOALS
 from .embedding import EmbeddingProvider
 from .errors import ConfigError, UsageError

@@ -272,9 +272,9 @@ def lstm_backward_seq(cache, dhs: np.ndarray, wx: np.ndarray, wh: np.ndarray):
 
 
 def actor_critic(actor_w, actor_b, critic_w, critic_b, h: np.ndarray):
-    logits = h @ actor_w + actor_b
-    value = float(h @ critic_w + critic_b)
-    return logits, value
+    """Logits and value of one hidden state (H,), or of each row of (T, H):
+    logits (A,) or (T, A), value a scalar or (T,)."""
+    return h @ actor_w + actor_b, h @ critic_w + critic_b
 
 
 def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray, dvalue: float):
@@ -286,15 +286,10 @@ def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray,
     return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
 
 
-def actor_critic_seq(actor_w, actor_b, critic_w, critic_b, hs: np.ndarray):
-    """actor_critic for every row of hs (T, H): logits (T, A), values (T,)."""
-    return hs @ actor_w + actor_b, hs @ critic_w + critic_b
-
-
 def actor_critic_backward_seq(actor_w, critic_w, hs: np.ndarray, dlogits: np.ndarray,
                               dvalues: np.ndarray):
-    """Reverse of actor_critic_seq: weight gradients summed over the rows,
-    and the hidden-state gradient per row (T, H)."""
+    """Reverse of actor_critic on the rows of hs (T, H): weight gradients
+    summed over the rows, and the hidden-state gradient per row (T, H)."""
     dactor_w = hs.T @ dlogits
     dactor_b = dlogits.sum(axis=0)
     dcritic_w = hs.T @ dvalues
@@ -311,11 +306,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
-
-
-def entropy(logits: np.ndarray) -> float:
-    logp = log_softmax(logits)
-    return float(-(np.exp(logp) * logp).sum())
 
 
 def sample_action(rng: np.random.Generator, logits: np.ndarray) -> int:

@@ -53,34 +53,30 @@ class TrainConfig:
 
 
 @dataclass
-class TrajStep:
-    img: np.ndarray  # pooled image feature times nn.IMG_INPUT_GAIN (D,)
-    f_obs: np.ndarray  # single-view observation feature (D,)
-    zone: int
-    subgoal: int
-    prev_action: int  # -1 on the first step
-    action: int
-    value: float
-    reward: float
-    done: bool
-
-
-@dataclass
 class Trajectory:
-    steps: list[TrajStep]
+    """One episode as the update replays it. Row t of each per-step array
+    records step t."""
+
+    img: np.ndarray  # (T, D) pooled image feature times nn.IMG_INPUT_GAIN
+    f_obs: np.ndarray  # (T, D) single-view observation feature
+    zones: np.ndarray  # (T,) zone the agent was located in
+    subgoals: np.ndarray  # (T,) planned sub-goal zone
+    actions: np.ndarray  # (T,)
+    rewards: np.ndarray  # (T,)
     goal: str
     goal_emb: np.ndarray
-    scene_id: str
     success: bool
     mask: frozenset = frozenset()
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self.actions)
 
     @property
     def total_reward(self) -> float:
-        return sum(s.reward for s in self.steps)
+        # Python's left-to-right sum: np.sum adds pairwise, which would move
+        # the logged mean_reward_100 in its last digits
+        return sum(self.rewards.tolist())
 
 
 def one_hot_action(prev_action: int) -> np.ndarray:
@@ -114,7 +110,7 @@ def reward(event: str) -> float:
 
 def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
             provider: EmbeddingProvider, rng, greedy: bool = False,
-            mask: frozenset = frozenset(), grid: int = 7) -> Trajectory:
+            mask: frozenset = frozenset()) -> Trajectory:
     """Run one episode to termination. Sampling uses the softmax policy with
     the supplied generator; greedy mode takes argmax with lowest-index ties."""
     if not isinstance(rng, np.random.Generator):
@@ -125,19 +121,19 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
     hidden = nn.hidden_size(params)
     h = np.zeros(hidden)
     c = np.zeros(hidden)
+    records = []  # per step: img, f_obs, zone, subgoal, action, reward (Trajectory's order)
     prev_action = -1
-    steps: list[TrajStep] = []
     while not state.terminated:
         obs = visible_objects(state.scene, state.pose)
-        img = nn.IMG_INPUT_GAIN * pooled_image_feature(provider, obs, grid=grid)
+        img = nn.IMG_INPUT_GAIN * pooled_image_feature(provider, obs)
         f_obs = observation_feature(provider, obs)
         zone = locate_current_zone(gs, f_obs)
         adapt_graph(gs, f_obs, zone)
-        plan = plan_subgoal(gs, zone, z_target)
-        f_gra = graph_feature(params, gs, plan.subgoal)
+        subgoal = plan_subgoal(gs, zone, z_target)
+        f_gra = graph_feature(params, gs, subgoal)
         x = nn.CELL_INPUT_GAIN * compose_input(img, goal_emb, f_gra, prev_action, mask)
         h, c, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x, h, c)
-        logits, value = nn.actor_critic(
+        logits, _ = nn.actor_critic(
             params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"], h
         )
         if greedy:
@@ -145,28 +141,11 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
         else:
             action = nn.sample_action(rng, logits)
         event = step(state, Action(action))
-        steps.append(
-            TrajStep(
-                img=img,
-                f_obs=f_obs,
-                zone=zone,
-                subgoal=plan.subgoal,
-                prev_action=prev_action,
-                action=action,
-                value=value,
-                reward=reward(event),
-                done=state.terminated,
-            )
-        )
+        records.append((img, f_obs, zone, subgoal, action, reward(event)))
         prev_action = action
-    return Trajectory(
-        steps=steps,
-        goal=state.goal,
-        goal_emb=goal_emb,
-        scene_id=state.scene.id,
-        success=state.success,
-        mask=mask,
-    )
+    columns = [np.array(column) for column in zip(*records)]
+    return Trajectory(*columns, goal=state.goal, goal_emb=goal_emb, success=state.success,
+                      mask=mask)
 
 
 def compute_returns(rewards: list[float], gamma: float) -> np.ndarray:
@@ -213,12 +192,11 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
     advantage_list: list[np.ndarray] = []
 
     for traj_idx, traj in enumerate(trajectories):
-        t_len = len(traj.steps)
+        t_len = traj.length
         rows = np.arange(t_len)
-        zones = [st.zone for st in traj.steps]
-        subgoals = np.array([st.subgoal for st in traj.steps])
-        actions = np.array([st.action for st in traj.steps])
-        f_obs = np.array([st.f_obs for st in traj.steps])
+        zones = traj.zones.tolist()
+        actions = traj.actions
+        f_obs = traj.f_obs
 
         # nodes_seq[t] is the adapted graph the GCN sees at step t
         nodes_seq = np.empty((t_len,) + graph.nodes.shape)
@@ -229,15 +207,16 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
             nodes_seq[t] = adapted
             nodes_seq[t, zone] = lam * f_obs[t] + (1.0 - lam) * old_rows[t]
             adapted = nodes_seq[t]
-        f_gra, gcache = nn.gcn_forward_seq(w1, w2, nodes_seq, ahat, subgoals)
+        f_gra, gcache = nn.gcn_forward_seq(w1, w2, nodes_seq, ahat, traj.subgoals)
+        prev_actions = [-1] + actions[:-1].tolist()
         xs = nn.CELL_INPUT_GAIN * np.array([
-            compose_input(st.img, traj.goal_emb, f_gra[t], st.prev_action, traj.mask)
-            for t, st in enumerate(traj.steps)
+            compose_input(traj.img[t], traj.goal_emb, f_gra[t], prev, traj.mask)
+            for t, prev in enumerate(prev_actions)
         ])
         hs, lcache = nn.lstm_forward_seq(wx, wh, b, xs)
-        logits, values = nn.actor_critic_seq(aw, ab, cw, cb, hs)
+        logits, values = nn.actor_critic(aw, ab, cw, cb, hs)
 
-        returns = compute_returns([s.reward for s in traj.steps], config.gamma)
+        returns = compute_returns(traj.rewards.tolist(), config.gamma)
         if frozen_advantages is not None:
             advantages = frozen_advantages[traj_idx]
         else:

@@ -9,14 +9,16 @@ brute force, and spot finite-difference gradient checks.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from . import nn
-from .controller import GraphState, adapt_graph, max_product_path, plan_subgoal
-from .graph import KnowledgeGraph, PositionFeatureMap, ZoneAssignment, build_room_graph, match_graphs, matching_objective
-from .policy import TrainConfig, TrajStep, Trajectory, a2c_loss_and_grads
+from .controller import GraphState, adapt_graph, max_product_path
+from .embedding import EmbeddingProvider
+from .graph import (KnowledgeGraph, PositionFeatureMap, ZoneAssignment, build_room_graph,
+                    match_graphs, matching_objective, sweep_position_features)
+from .policy import TrainConfig, Trajectory, a2c_loss_and_grads
+from .sim import ObjectInstance, Scene
 
 
 def enumerate_max_product(edges: np.ndarray, start: int, goal: int) -> float:
@@ -48,6 +50,29 @@ def random_edge_matrix(rng: np.random.Generator, m: int, density: float = 0.7) -
                 e[a, b] = e[b, a] = rng.random()
     np.fill_diagonal(e, 1.0)
     return e
+
+
+def random_trajectory(rng: np.random.Generator, m: int, n: int, d: int, length: int,
+                      img_scale: float = 0.02, mask: frozenset = frozenset()) -> Trajectory:
+    """Random records of a `length`-step episode on an m-zone graph with
+    n-long node features and d-long embeddings, for probes of the A2C
+    loss. Each step draws its image, observation, zone, sub-goal and action
+    in that order; every step is rewarded -0.01 but the last, a +5 success.
+    The default image scale is that of a pooled image feature, whose one or
+    two occupied cells of 49 leave it small."""
+    img = np.empty((length, d))
+    f_obs = np.empty((length, n))
+    zones, subgoals, actions = (np.empty(length, dtype=int) for _ in range(3))
+    for t in range(length):
+        img[t] = rng.standard_normal(d) * img_scale
+        f_obs[t] = rng.standard_normal(n) * 0.3
+        zones[t] = rng.integers(m)
+        subgoals[t] = rng.integers(m)
+        actions[t] = rng.integers(6)
+    rewards = np.full(length, -0.01)
+    rewards[-1] = 5.0
+    return Trajectory(img, f_obs, zones, subgoals, actions, rewards, "Bowl",
+                      rng.standard_normal(d), True, frozenset(mask))
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -102,14 +127,26 @@ def fd_check(loss_fn, params: dict, grads: dict, rng: np.random.Generator,
 
 
 def check_position_feature_algebra() -> tuple[bool, str]:
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(8)
-    b = rng.standard_normal(8)
-    # detections: A seen 6 times, B seen 3 times -> (6a + 3b) / 9 == (2a + b) / 3
-    mean = (6 * a + 3 * b) / 9.0
-    expect = (2 * a + b) / 3.0
-    ok = bool(np.max(np.abs(mean - expect)) < 1e-12)
-    return ok, f"max dev {np.max(np.abs(mean - expect)):.2e}"
+    """The sweep's feature for a position is the mean embedding over every
+    detection in its 24 views, so an object seen from k views weighs k."""
+    provider = EmbeddingProvider.synthetic(dim=8, seed=3)
+    # Cell (0, 0) is the only reachable one. The Bowl lies on it, in the low
+    # band: an object on the agent's cell is seen from every yaw, so the 8
+    # views at pitch -30 see it (k_a = 8). The Kettle, mid band, is 1.12 m
+    # away at (0.5, 1.0), at angle atan2(0.5, 1.0) = 26.6 deg. Of the pitch-0
+    # views, yaw 0 sees it at bearing +26.6 and yaw 45 at -18.4; the nearest
+    # others, yaw 90 at -63.4 and yaw 315 at +71.6, fall outside the +-45
+    # field (k_b = 2).
+    reachable = np.zeros((3, 2), dtype=bool)
+    reachable[0, 0] = True
+    objects = (ObjectInstance("Bowl", 0.0, 0.0, "low"), ObjectInstance("Kettle", 0.5, 1.0, "mid"))
+    scene = Scene("selfcheck", "kitchen", 2, 3, reachable, objects, 0)
+    fmap = sweep_position_features(scene, provider)
+    k_a, k_b = 8, 2
+    a, b = provider.object_embedding("Bowl"), provider.object_embedding("Kettle")
+    dev = float(np.max(np.abs(fmap.features[0] - (k_a * a + k_b * b) / (k_a + k_b))))
+    ok = fmap.positions == ((0.0, 0.0),) and int(fmap.counts[0]) == k_a + k_b and dev < 1e-12
+    return ok, f"{int(fmap.counts[0])} detections, max dev {dev:.2e}"
 
 
 def check_zone_and_edge_algebra() -> tuple[bool, str]:
@@ -173,61 +210,49 @@ def check_matching(n_cases: int = 30) -> tuple[bool, str]:
 
 
 def check_gradients() -> tuple[bool, str]:
+    """Finite-difference probes of the sequence kernels training runs (the
+    GCN rows and the recurrent cell over several steps) and of the whole
+    A2C loss."""
     rng = np.random.default_rng(17)
     worst = 0.0
 
-    m, n, h, d = 3, 5, 6, 4
+    t_len, m, n, h, d = 3, 3, 5, 6, 4
     edges = random_edge_matrix(rng, m)
     ahat = nn.normalize_adjacency(edges)
-    nodes = rng.standard_normal((m, n))
-    w = {"w1": rng.standard_normal((n, n)), "w2": rng.standard_normal((n, n))}
-    proj = rng.standard_normal((m, n))
+    rows = rng.integers(m, size=t_len)
+    gp = {"w1": rng.standard_normal((n, n)), "w2": rng.standard_normal((n, n)),
+          "nodes": rng.standard_normal((t_len, m, n))}
+    proj = rng.standard_normal((t_len, n))
 
     def gcn_loss(p):
-        out, _ = nn.gcn_forward(p["w1"], p["w2"], nodes, ahat)
+        out, _ = nn.gcn_forward_seq(p["w1"], p["w2"], p["nodes"], ahat, rows)
         return float((out * proj).sum())
 
-    out, cache = nn.gcn_forward(w["w1"], w["w2"], nodes, ahat)
-    dw1, dw2, _ = nn.gcn_backward(cache, proj, w["w1"], w["w2"])
-    worst = max(worst, fd_check(gcn_loss, w, {"w1": dw1, "w2": dw2}, rng))
+    _, cache = nn.gcn_forward_seq(gp["w1"], gp["w2"], gp["nodes"], ahat, rows)
+    dw1, dw2, dnodes = nn.gcn_backward_seq(cache, proj, gp["w1"], gp["w2"])
+    worst = max(worst, fd_check(gcn_loss, gp, {"w1": dw1, "w2": dw2, "nodes": dnodes}, rng))
 
     f = 2 * d + n + 6
     lp = {
         "wx": rng.standard_normal((f, 4 * h)) * 0.3,
         "wh": rng.standard_normal((h, 4 * h)) * 0.3,
         "b": rng.standard_normal(4 * h) * 0.1,
+        "xs": rng.standard_normal((t_len, f)),
     }
-    x = rng.standard_normal(f)
-    h0 = rng.standard_normal(h)
-    c0 = rng.standard_normal(h)
-    ph = rng.standard_normal(h)
+    ph = rng.standard_normal((t_len, h))
 
     def lstm_loss(p):
-        h2, _, _ = nn.lstm_step(p["wx"], p["wh"], p["b"], x, h0, c0)
-        return float(h2 @ ph)
+        hs, _ = nn.lstm_forward_seq(p["wx"], p["wh"], p["b"], p["xs"])
+        return float((hs * ph).sum())
 
-    _, _, cache = nn.lstm_step(lp["wx"], lp["wh"], lp["b"], x, h0, c0)
-    dwx, dwh, db, _, _, _ = nn.lstm_backward(cache, ph, np.zeros(h), lp["wx"], lp["wh"])
-    worst = max(worst, fd_check(lstm_loss, lp, {"wx": dwx, "wh": dwh, "b": db}, rng))
+    _, cache = nn.lstm_forward_seq(lp["wx"], lp["wh"], lp["b"], lp["xs"])
+    dwx, dwh, db, dz = nn.lstm_backward_seq(cache, ph, lp["wx"], lp["wh"])
+    worst = max(worst, fd_check(lstm_loss, lp,
+                                {"wx": dwx, "wh": dwh, "b": db, "xs": dz @ lp["wx"].T}, rng))
 
     graph = KnowledgeGraph(rng.standard_normal((m, n)) * 0.5, edges, "kitchen")
     params = nn.init_params(d, n, hidden=h, seed=5)
-    steps = []
-    prev = -1
-    for t in range(3):
-        steps.append(TrajStep(
-            img=rng.standard_normal(d) * 0.02,  # pooled-cell magnitude
-            f_obs=rng.standard_normal(n) * 0.3,
-            zone=int(rng.integers(m)),
-            subgoal=int(rng.integers(m)),
-            prev_action=prev,
-            action=int(rng.integers(6)),
-            value=0.0,
-            reward=-0.01 if t < 2 else 5.0,
-            done=t == 2,
-        ))
-        prev = steps[-1].action
-    traj = Trajectory(steps, "Bowl", rng.standard_normal(d), "s", True)
+    traj = random_trajectory(rng, m, n, d, 3)
     cfg = TrainConfig(gamma=0.9)
     _, grads, stats = a2c_loss_and_grads(params, [traj], graph, cfg)
     adv = stats["advantages"]

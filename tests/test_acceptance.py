@@ -30,8 +30,8 @@ from zonegraph.graph import (
     sweep_position_features,
 )
 from zonegraph.metrics import GoalSplit, evaluate, report_summary_line, zero_shot_split
-from zonegraph.policy import TrainConfig, TrajStep, Trajectory, a2c_loss_and_grads, train
-from zonegraph.selfcheck import enumerate_max_product, fd_probe, random_edge_matrix
+from zonegraph.policy import TrainConfig, a2c_loss_and_grads, train
+from zonegraph.selfcheck import enumerate_max_product, fd_probe, random_edge_matrix, random_trajectory
 from zonegraph.sim import (
     CELL,
     PITCHES,
@@ -278,7 +278,7 @@ def test_criterion_3_planner_optimality():
         worst = max(worst, abs(prob - enumerate_max_product(edges, start, goal)))
 
         gs = GraphState(KnowledgeGraph(np.zeros((m, 2)), edges, "kitchen"))
-        base_plan = plan_subgoal(gs, start, goal)
+        base_subgoal = plan_subgoal(gs, start, goal)
         # edge scaling in -log space: e -> e^c for c in (0, 1] rescales every
         # path weight by c and must never change the chosen sub-goal (the
         # literal multiplicative reading is provably false for max-product
@@ -287,7 +287,7 @@ def test_criterion_3_planner_optimality():
         scaled = edges ** c
         np.fill_diagonal(scaled, 1.0)
         gs2 = GraphState(KnowledgeGraph(np.zeros((m, 2)), scaled, "kitchen"))
-        if plan_subgoal(gs2, start, goal).subgoal != base_plan.subgoal:
+        if plan_subgoal(gs2, start, goal) != base_subgoal:
             flips += 1
     elapsed = time.time() - t0
     ok = worst <= 1e-12 and flips == 0 and elapsed < 10
@@ -347,22 +347,7 @@ def _a2c_case(rng):
                            random_edge_matrix(rng, m), "kitchen")
     params = nn.init_params(d, n, hidden=h, seed=int(rng.integers(1000)))
     params["lambda_raw"] = np.array(float(rng.uniform(-1, 1)))
-    steps = []
-    prev = -1
-    for t in range(3):
-        steps.append(TrajStep(
-            img=rng.standard_normal(d) * 0.02,
-            f_obs=rng.standard_normal(n) * 0.3,
-            zone=int(rng.integers(m)),
-            subgoal=int(rng.integers(m)),
-            prev_action=prev,
-            action=int(rng.integers(6)),
-            value=0.0,
-            reward=-0.01 if t < 2 else 5.0,
-            done=t == 2,
-        ))
-        prev = steps[-1].action
-    traj = Trajectory(steps, "Bowl", rng.standard_normal(d), "s", True)
+    traj = random_trajectory(rng, m, n, d, 3)
     cfg = TrainConfig(gamma=0.9)
     _, grads, stats = a2c_loss_and_grads(params, [traj], graph, cfg)
     adv = stats["advantages"]

@@ -285,3 +285,18 @@ class TestSelfcheck:
         assert run(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_gradient_check_catches_scaled_recurrent_gradient(self, monkeypatch):
+        # the probe covers the sequence kernels training runs: an input
+        # weight gradient off by a relative 1e-3 must fail it
+        from zonegraph import nn, selfcheck
+
+        real = nn.lstm_backward_seq
+
+        def scaled(*args):
+            dwx, dwh, db, dz = real(*args)
+            return dwx * 1.001, dwh, db, dz
+
+        monkeypatch.setattr(nn, "lstm_backward_seq", scaled)
+        ok, detail = selfcheck.check_gradients()
+        assert not ok, detail

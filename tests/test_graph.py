@@ -19,7 +19,7 @@ from zonegraph.graph import (
     merge_graphs,
     sweep_position_features,
 )
-from zonegraph.sim import CELL, PITCHES, YAWS
+from zonegraph.sim import CELL, PITCHES, YAWS, generate_scene
 
 from conftest import make_scene
 
@@ -51,6 +51,27 @@ def oracle_sweep(scene, provider):
                     n += 1
         out[(x, z)] = (total / n if n else total, n)
     return out
+
+
+def pair_loop_edges(assignment, feature_map, eps):
+    """Edge probabilities by counting every cross-zone pair of positions
+    within Manhattan distance eps, one pair at a time."""
+    m = assignment.zone_count
+    members = [[] for _ in range(m)]
+    for i, pos in enumerate(feature_map.positions):
+        members[assignment.assignment[pos]].append(i)
+    edges = np.eye(m)
+    pos = feature_map.positions
+    for a in range(m):
+        for b in range(a + 1, m):
+            hits = 0
+            for i in members[a]:
+                for j in members[b]:
+                    d = abs(pos[i][0] - pos[j][0]) + abs(pos[i][1] - pos[j][1])
+                    if d <= eps + 1e-9:
+                        hits += 1
+            edges[a, b] = edges[b, a] = hits / (len(members[a]) * len(members[b]))
+    return edges
 
 
 def kmeans_objective(x, labels, k):
@@ -246,6 +267,17 @@ class TestRoomGraph:
             assert np.allclose(g.edges, g.edges.T)
             assert np.all(np.diag(g.edges) == 1.0)
             assert g.edges.min() >= 0.0 and g.edges.max() <= 1.0
+
+    @pytest.mark.parametrize("room", ["kitchen", "bathroom"])
+    def test_edges_bitwise_equal_pair_loop(self, small_provider, room):
+        # the counts are exact integers, so the matrix product must give the
+        # pair loop's edges bit for bit, at several adjacency thresholds
+        for size, seed in (((8, 8), 0), ((12, 9), 1), ((16, 16), 2)):
+            fmap = sweep_position_features(generate_scene(room, size, seed), small_provider)
+            za = cluster_zones(fmap, 8, seed)
+            for eps in (0.5, 1.0, 1.7):
+                got = build_room_graph(za, fmap, eps=eps).edges
+                assert np.array_equal(got, pair_loop_edges(za, fmap, eps))
 
 
 class TestMatch:

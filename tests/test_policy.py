@@ -17,7 +17,6 @@ from zonegraph.errors import ConfigError
 from zonegraph.graph import KnowledgeGraph, build_scene_graph
 from zonegraph.policy import (
     TrainConfig,
-    TrajStep,
     Trajectory,
     a2c_loss_and_grads,
     a2c_update,
@@ -29,7 +28,7 @@ from zonegraph.policy import (
     train,
     _episode_rng,
 )
-from zonegraph.selfcheck import fd_check, random_edge_matrix
+from zonegraph.selfcheck import fd_check, random_edge_matrix, random_trajectory
 from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_objects
 
 from conftest import lstm_step_split, make_scene
@@ -51,7 +50,7 @@ def _rollout_reference(state, params, graph, provider, rng, greedy, mask):
     h = np.zeros(hidden)
     c = np.zeros(hidden)
     prev_action = -1
-    steps = []
+    steps = []  # (img, f_obs, zone, subgoal, action, reward)
     while not state.terminated:
         obs = visible_objects(state.scene, state.pose)
         spatial = image_feature(provider, obs)
@@ -66,7 +65,7 @@ def _rollout_reference(state, params, graph, provider, rng, greedy, mask):
         f_gra = graph_feature(params, gs, subgoal)
         x = nn.CELL_INPUT_GAIN * compose_input(img, goal_emb, f_gra, prev_action, mask)
         h, c, _ = lstm_step_split(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x, h, c)
-        logits, value = nn.actor_critic(
+        logits, _ = nn.actor_critic(
             params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"], h
         )
         if greedy:
@@ -75,12 +74,12 @@ def _rollout_reference(state, params, graph, provider, rng, greedy, mask):
             p = nn.softmax(logits)
             action = int(rng.choice(len(p), p=p / p.sum()))
         event = step(state, Action(action))
-        steps.append(TrajStep(img=img, f_obs=f_obs, zone=zone, subgoal=subgoal,
-                              prev_action=prev_action, action=action, value=value,
-                              reward=reward(event), done=state.terminated))
+        steps.append((img, f_obs, zone, subgoal, action, reward(event)))
         prev_action = action
-    return Trajectory(steps=steps, goal=state.goal, goal_emb=goal_emb,
-                      scene_id=state.scene.id, success=state.success, mask=mask)
+    img, f_obs, zones, subgoals, actions, rewards = (np.array(col) for col in zip(*steps))
+    return Trajectory(img=img, f_obs=f_obs, zones=zones, subgoals=subgoals, actions=actions,
+                      rewards=rewards, goal=state.goal, goal_emb=goal_emb,
+                      success=state.success, mask=mask)
 
 
 def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
@@ -102,21 +101,23 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
     advantage_list = []
 
     for traj_idx, traj in enumerate(trajectories):
-        t_len = len(traj.steps)
+        t_len = traj.length
+        prev_actions = [-1] + traj.actions[:-1].tolist()
         adapted = graph.nodes.copy()
         h = np.zeros(hidden)
         c = np.zeros(hidden)
         old_rows, gcn_caches, lstm_caches, h_list, logits_list = [], [], [], [], []
         values = np.zeros(t_len)
-        for t, st in enumerate(traj.steps):
-            old_row = adapted[st.zone].copy()
-            adapted[st.zone] = lam * st.f_obs + (1.0 - lam) * old_row
+        for t in range(t_len):
+            zone = traj.zones[t]
+            old_row = adapted[zone].copy()
+            adapted[zone] = lam * traj.f_obs[t] + (1.0 - lam) * old_row
             old_rows.append(old_row)
             gcn_out, gcache = nn.gcn_forward(w1, w2, adapted, ahat)
             gcn_caches.append(gcache)
-            f_gra = gcn_out[st.subgoal]
+            f_gra = gcn_out[traj.subgoals[t]]
             x = nn.CELL_INPUT_GAIN * compose_input(
-                st.img, traj.goal_emb, f_gra, st.prev_action, traj.mask
+                traj.img[t], traj.goal_emb, f_gra, prev_actions[t], traj.mask
             )
             h, c, lcache = nn.lstm_step(wx, wh, b, x, h, c)
             lstm_caches.append(lcache)
@@ -125,7 +126,7 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
             logits_list.append(logits)
             values[t] = value
 
-        returns = compute_returns([s.reward for s in traj.steps], config.gamma)
+        returns = compute_returns(traj.rewards.tolist(), config.gamma)
         if frozen_advantages is not None:
             advantages = frozen_advantages[traj_idx]
         else:
@@ -138,7 +139,7 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
             logp = nn.log_softmax(logits_list[t])
             p = np.exp(logp)
             ent = float(-(p * logp).sum())
-            a = traj.steps[t].action
+            a = traj.actions[t]
             total_loss += -advantages[t] * logp[a]
             policy_loss += -advantages[t] * logp[a]
             total_loss += config.value_coef * (returns[t] - values[t]) ** 2
@@ -155,7 +156,7 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
         dc_next = np.zeros(hidden)
         d_adapted = np.zeros((graph.zone_count, n_feat))
         for t in range(t_len - 1, -1, -1):
-            st = traj.steps[t]
+            zone = traj.zones[t]
             daw, dab, dcw, dcb, dh_head = nn.actor_critic_backward(
                 aw, cw, h_list[t], dlogits_list[t], dvalues[t]
             )
@@ -173,13 +174,13 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
             if "gra" in traj.mask:
                 dgra = np.zeros_like(dgra)
             dout = np.zeros((graph.zone_count, n_feat))
-            dout[st.subgoal] = dgra
+            dout[traj.subgoals[t]] = dgra
             dw1, dw2, dnodes = nn.gcn_backward(gcn_caches[t], dout, w1, w2)
             grads["gcn_w1"] += dw1
             grads["gcn_w2"] += dw2
             d_adapted += dnodes
-            dlam += float(d_adapted[st.zone] @ (st.f_obs - old_rows[t]))
-            d_adapted[st.zone] *= 1.0 - lam
+            dlam += float(d_adapted[zone] @ (traj.f_obs[t] - old_rows[t]))
+            d_adapted[zone] *= 1.0 - lam
 
     grads["lambda_raw"] = grads["lambda_raw"] + dlam * lam * (1.0 - lam)
     stats = {
@@ -264,7 +265,7 @@ class TestRollout:
         params = nn.init_params(8, graph.feature_dim, hidden=8, seed=0)
         a = rollout(reset_episode(scene, "Sink", seed=4), params, graph, small_provider, rng=11)
         b = rollout(reset_episode(scene, "Sink", seed=4), params, graph, small_provider, rng=11)
-        assert [s.action for s in a.steps] == [s.action for s in b.steps]
+        assert np.array_equal(a.actions, b.actions)
         assert a.success == b.success and a.length == b.length
 
     def test_length_never_exceeds_t_max(self, small_provider):
@@ -299,16 +300,16 @@ class TestRollout:
                     rng=1, greedy=True)
         b = rollout(reset_episode(scene, "Sink", seed=2), params, graph, small_provider,
                     rng=999, greedy=True)
-        assert [s.action for s in a.steps] == [s.action for s in b.steps]
+        assert np.array_equal(a.actions, b.actions)
 
     def test_exactly_one_terminal_step(self, small_provider):
+        # one record per environment step, the last of which ends the episode
         scene, graph = tiny_world(small_provider)
         params = nn.init_params(8, graph.feature_dim, hidden=8, seed=0)
         for seed in range(10):
-            traj = rollout(reset_episode(scene, "Bowl", seed=seed), params, graph,
-                           small_provider, rng=seed)
-            assert [s.done for s in traj.steps].count(True) == 1
-            assert traj.steps[-1].done
+            state = reset_episode(scene, "Bowl", seed=seed)
+            traj = rollout(state, params, graph, small_provider, rng=seed)
+            assert state.terminated and traj.length == state.step_count
 
 
 class TestRolloutMatchesReference:
@@ -333,14 +334,11 @@ class TestRolloutMatchesReference:
 
     @staticmethod
     def _assert_same(got, want):
-        assert (got.goal, got.scene_id, got.success, got.mask) == \
-            (want.goal, want.scene_id, want.success, want.mask)
+        assert (got.goal, got.success, got.mask) == (want.goal, want.success, want.mask)
         assert np.array_equal(got.goal_emb, want.goal_emb)
-        assert got.length == want.length
-        for a, b in zip(got.steps, want.steps):
-            assert np.array_equal(a.img, b.img) and np.array_equal(a.f_obs, b.f_obs)
-            assert (a.zone, a.subgoal, a.prev_action, a.action, a.value, a.reward, a.done) == \
-                (b.zone, b.subgoal, b.prev_action, b.action, b.value, b.reward, b.done)
+        for name in ("img", "f_obs", "zones", "subgoals", "actions", "rewards"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
     @pytest.mark.parametrize("mask", [(), ("img",), ("gra",), ("obj", "act")])
@@ -383,15 +381,26 @@ class TestReturnsAndLoss:
     def test_one_step_advantage_is_reward_minus_value(self, small_provider):
         scene, graph = tiny_world(small_provider)
         params = nn.init_params(8, graph.feature_dim, hidden=8, seed=2)
-        # craft a 1-step trajectory via a forced Done
+        # the first step of a rollout as a one-step trajectory
         st = reset_episode(scene, "Sink", seed=1)
         traj = rollout(st, params, graph, small_provider, rng=3)
-        one = Trajectory(traj.steps[:1], traj.goal, traj.goal_emb, traj.scene_id, False)
-        one.steps[0].done = True
+        first = slice(0, 1)
+        one = Trajectory(traj.img[first], traj.f_obs[first], traj.zones[first],
+                         traj.subgoals[first], traj.actions[first], traj.rewards[first],
+                         traj.goal, traj.goal_emb, False)
         _, _, stats = a2c_loss_and_grads(params, [one], graph, TrainConfig())
         adv = stats["advantages"][0]
-        # recompute recorded value at identical parameters
-        assert adv[0] == pytest.approx(one.steps[0].reward - one.steps[0].value, abs=1e-9)
+        # the value of that step, recomputed at identical parameters
+        gs = GraphState(graph, lam=float(nn.sigmoid(params["lambda_raw"])))
+        adapt_graph(gs, one.f_obs[0], int(one.zones[0]))
+        f_gra = graph_feature(params, gs, int(one.subgoals[0]))
+        x = nn.CELL_INPUT_GAIN * compose_input(one.img[0], one.goal_emb, f_gra, -1)
+        hidden = np.zeros(8)
+        h, _, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x,
+                               hidden, hidden)
+        _, value = nn.actor_critic(params["actor_w"], params["actor_b"], params["critic_w"],
+                                   params["critic_b"], h)
+        assert adv[0] == pytest.approx(one.rewards[0] - value, abs=1e-9)
 
     def test_entropy_at_zero_params_is_log6(self, small_provider):
         scene, graph = tiny_world(small_provider)
@@ -410,22 +419,7 @@ class TestReturnsAndLoss:
                                random_edge_matrix(rng, m), "kitchen")
         params = nn.init_params(d, n, hidden=h, seed=1)
         params["lambda_raw"] = np.array(0.37)
-        steps = []
-        prev = -1
-        for t in range(3):
-            steps.append(TrajStep(
-                img=rng.standard_normal(d) * 0.02,  # pooled-cell magnitude
-                f_obs=rng.standard_normal(n) * 0.3,
-                zone=int(rng.integers(m)),
-                subgoal=int(rng.integers(m)),
-                prev_action=prev,
-                action=int(rng.integers(6)),
-                value=0.0,
-                reward=-0.01 if t < 2 else 5.0,
-                done=t == 2,
-            ))
-            prev = steps[-1].action
-        traj = Trajectory(steps, "Bowl", rng.standard_normal(d), "s", True)
+        traj = random_trajectory(rng, m, n, d, 3)
         cfg = TrainConfig(gamma=0.9)
         _, grads, stats = a2c_loss_and_grads(params, [traj], graph, cfg)
         adv = stats["advantages"]
@@ -448,25 +442,6 @@ class TestReturnsAndLoss:
         params, grads, loss_fn, rng = self._fd_case()
         scaled = {k: g * 1.001 for k, g in grads.items()}
         assert fd_check(loss_fn, params, scaled, rng, probes_per_array=6) > 1e-4
-
-
-def _random_trajectory(rng, m, n, d, length, mask=frozenset()):
-    steps = []
-    prev = -1
-    for t in range(length):
-        steps.append(TrajStep(
-            img=rng.standard_normal(d) * 0.3,
-            f_obs=rng.standard_normal(n) * 0.3,
-            zone=int(rng.integers(m)),
-            subgoal=int(rng.integers(m)),
-            prev_action=prev,
-            action=int(rng.integers(6)),
-            value=0.0,
-            reward=5.0 if t == length - 1 else -0.01,
-            done=t == length - 1,
-        ))
-        prev = steps[-1].action
-    return Trajectory(steps, "Bowl", rng.standard_normal(d), "s", True, frozenset(mask))
 
 
 def _rel_err(got, want) -> float:
@@ -493,7 +468,7 @@ class TestBatchedUpdateMatchesReference:
         params["lambda_raw"] = np.array(0.4)
         params["actor_w"] = rng.standard_normal(params["actor_w"].shape) * 0.3
         params["critic_w"] = rng.standard_normal(params["critic_w"].shape) * 0.3
-        trajs = [_random_trajectory(rng, m, n, d, t_len, mask)
+        trajs = [random_trajectory(rng, m, n, d, t_len, img_scale=0.3, mask=mask)
                  for t_len, mask in zip(lengths, masks)]
         cfg = TrainConfig(gamma=0.95)
         adv = [rng.standard_normal(t_len) for t_len in lengths] if frozen else None
