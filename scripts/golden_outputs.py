@@ -5,6 +5,7 @@ Every output comes from `zonegraph.cli.run`, on the benchmark's world (four
 8x8 kitchens seeded 0-3):
 
     kitchen.kg                   the merged knowledge graph
+    inspect-graph.out            `inspect-graph kitchen.kg`: the graph read back
     train-w{1,8}.ckpt(.log)      48 zero-shot training episodes, seed 0,
                                  stats every 16 episodes, 1 and 8 workers
     eval.report                  bench/data/eval.ckpt, zero-shot, greedy,
@@ -52,6 +53,7 @@ def main(outdir: str) -> None:
                              "--size", "8x8", "--seed", "0", "--out", "scenes"])
     zonegraph("build-graph", ["build-graph", "--scenes", "scenes", "--room", "kitchen",
                               "--out", "kitchen.kg"])
+    zonegraph("inspect-graph", ["inspect-graph", "kitchen.kg"])
     Path("train.cfg").write_text("stats_every = 16\n")
     for workers in (1, 8):
         zonegraph(f"train-w{workers}", [

@@ -20,6 +20,7 @@ from .graph import (
     DEFAULT_ZONES,
     KnowledgeGraph,
     build_scene_graph,
+    graph_from_text,
     graph_to_text,
     load_graph,
     merge_graphs,
@@ -29,6 +30,7 @@ from .metrics import evaluate, report_summary_line, report_to_text, split_by_nam
 from .policy import MASKABLE, TrainConfig, train
 from .selfcheck import run_selfcheck
 from .sim import generate_scene, load_scene, save_scene
+from .textio import float_row, read_text, write_text
 
 
 @dataclass
@@ -98,8 +100,7 @@ def parse_config_text(text: str, cfg: Config | None = None) -> Config:
 
 def load_config(path) -> Config:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
+        return parse_config_text(read_text(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
 
@@ -123,10 +124,6 @@ def _load_scene_dir(path) -> list:
     if not files:
         raise ConfigError(f"no *.scene files in {path}")
     return [load_scene(f) for f in files]
-
-
-def _float_str(v: float) -> str:
-    return repr(float(v))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,10 +229,10 @@ def checkpoint_meta(cfg: Config, graph: KnowledgeGraph) -> dict:
         "split": cfg.split,
         "episodes": cfg.train.episodes,
         "workers": cfg.train.workers,
-        "gamma": _float_str(cfg.train.gamma),
-        "entropy_coef": _float_str(cfg.train.entropy_coef),
-        "value_coef": _float_str(cfg.train.value_coef),
-        "lr": _float_str(cfg.train.lr),
+        "gamma": float_row(cfg.train.gamma),
+        "entropy_coef": float_row(cfg.train.entropy_coef),
+        "value_coef": float_row(cfg.train.value_coef),
+        "lr": float_row(cfg.train.lr),
         "t_max": cfg.train.t_max,
     }
     if cfg.embedding.mode == "file":
@@ -298,7 +295,8 @@ def load_checkpoint_bundle(path):
     """Split a checkpoint into (policy params, graph, provider, meta). The
     arrays must be exactly the policy parameters of the header's D, N and H
     (names and shapes as nn.param_shapes gives them) plus the (M, N) graph
-    nodes and (M, M) edges, all finite; anything else is a FormatError."""
+    nodes and (M, M) edges; anything else is a FormatError. The parser has
+    already rejected non-finite values."""
     arrays, meta = nn.load_checkpoint(path)
     try:
         dim, n_feat, zones, hidden = (int(meta[k]) for k in ("D", "N", "M", "H"))
@@ -321,8 +319,6 @@ def load_checkpoint_bundle(path):
         if arrays[name].shape != shape:
             raise FormatError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
                               f"expected {shape} for D={dim} N={n_feat} M={zones} H={hidden}")
-        if not np.all(np.isfinite(arrays[name])):
-            raise FormatError(f"checkpoint array {name!r} holds non-finite values")
     nodes = arrays.pop("graph_nodes")
     edges = arrays.pop("graph_edges")
     graph = KnowledgeGraph(nodes, edges, meta.get("room", ""))
@@ -363,8 +359,7 @@ def cmd_eval(args) -> int:
               "ckpt": Path(args.ckpt).name}
     text = report_to_text(report, header_meta=header, episode_lines=episode_lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -373,10 +368,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_graph(args) -> int:
-    graph = load_graph(args.path)
-    text = graph_to_text(graph)
-    with open(args.path, "r", encoding="utf-8") as fh:
-        lossless = fh.read() == text
+    text = read_text(args.path)
+    graph = graph_from_text(text)
+    lossless = graph_to_text(graph) == text
     print(f"M={graph.zone_count} N={graph.feature_dim} room={graph.room_category} "
           f"lossless_roundtrip={lossless}")
     provider = provider_from_config(EmbeddingCfg(dim=graph.feature_dim, seed=args.emb_seed))
@@ -419,6 +413,9 @@ def run(argv=None) -> int:
         return 1
     except FileNotFoundError as e:
         print(f"error category=missing-file: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # a path that is not a readable or writable file
+        print(f"error category=io: {e}", file=sys.stderr)
         return 1
 
 

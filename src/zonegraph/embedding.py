@@ -16,6 +16,7 @@ import numpy as np
 from .categories import GOAL_SET
 from .errors import FormatError, UnknownCategoryError
 from .sim import HALF_FOV, VIS_RANGE, Observation
+from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
 DEFAULT_DIM = 64
 DEFAULT_GRID = 7
@@ -35,7 +36,10 @@ def _synthetic_vector(seed: int, category: str, dim: int) -> np.ndarray:
 
 
 class EmbeddingProvider:
-    """Immutable category -> unit vector table; all lookups deterministic."""
+    """Immutable category -> unit vector table; all lookups deterministic.
+
+    The table holds what was loaded, and only it is written out. Synthetic
+    vectors are derived on first lookup and kept in a separate memo."""
 
     def __init__(self, dim: int, mode: str, seed: int | None = None,
                  table: dict[str, np.ndarray] | None = None):
@@ -45,18 +49,18 @@ class EmbeddingProvider:
         self.mode = mode
         self.seed = seed
         self._table: dict[str, np.ndarray] = dict(table or {})
+        self._memo: dict[str, np.ndarray] = dict(self._table)  # the table plus synthetic lookups
 
     @classmethod
     def synthetic(cls, dim: int = DEFAULT_DIM, seed: int = 0) -> "EmbeddingProvider":
         return cls(dim=dim, mode="synthetic", seed=seed)
 
     def object_embedding(self, category: str) -> np.ndarray:
-        vec = self._table.get(category)
+        vec = self._memo.get(category)
         if vec is None:
             if self.mode == "file":
                 raise UnknownCategoryError(f"category {category!r} not in embedding table")
-            vec = _synthetic_vector(self.seed or 0, category, self.dim)
-            self._table[category] = vec
+            vec = self._memo[category] = _synthetic_vector(self.seed or 0, category, self.dim)
         return vec
 
     def known_categories(self) -> tuple[str, ...]:
@@ -145,40 +149,30 @@ def embeddings_to_text(provider: EmbeddingProvider, categories=None) -> str:
     cats = sorted(categories) if categories is not None else list(provider.known_categories())
     lines = [f"embeddings-v1 D={provider.dim}"]
     for cat in cats:
-        vec = provider.object_embedding(cat)
-        lines.append(cat + " " + " ".join(repr(float(v)) for v in vec))
+        lines.append(cat + " " + float_row(provider.object_embedding(cat)))
     return "\n".join(lines) + "\n"
 
 
 def save_embeddings(provider: EmbeddingProvider, path, categories=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(embeddings_to_text(provider, categories))
+    write_text(path, embeddings_to_text(provider, categories))
 
 
 def embeddings_from_text(text: str) -> EmbeddingProvider:
-    lines = [l for l in text.splitlines()]
-    if not lines or not lines[0].startswith("embeddings-v1 "):
-        raise FormatError("line 1: not an embeddings-v1 file")
+    lines = text.splitlines()
     try:
-        dim = int(lines[0].split("D=", 1)[1])
-    except (IndexError, ValueError):
+        dim = int(header_fields(lines, "embeddings-v1")["D"])
+    except (KeyError, ValueError):
         raise FormatError("line 1: missing or bad D=<int>") from None
+    if dim < 1:
+        raise FormatError(f"line 1: D must be >= 1, got D={dim}")
     table: dict[str, np.ndarray] = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split()
-        cat = parts[0]
+        cat, *parts = line.split()
         if cat in table:
             raise FormatError(f"line {i}: duplicate category {cat!r}")
-        if len(parts) - 1 != dim:
-            raise FormatError(f"line {i}: expected {dim} floats, got {len(parts) - 1}")
-        try:
-            vec = np.array([float(p) for p in parts[1:]])
-        except ValueError:
-            raise FormatError(f"line {i}: unparsable float") from None
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"line {i}: non-finite value")
+        vec = parse_floats(parts, i, dim)
         n = np.linalg.norm(vec)
         if n < 1e-12:
             raise FormatError(f"line {i}: zero vector cannot be normalized")
@@ -189,5 +183,4 @@ def embeddings_from_text(text: str) -> EmbeddingProvider:
 
 
 def load_embeddings(path) -> EmbeddingProvider:
-    with open(path, "r", encoding="utf-8") as fh:
-        return embeddings_from_text(fh.read())
+    return embeddings_from_text(read_text(path))

@@ -20,6 +20,7 @@ from .embedding import EmbeddingProvider
 from .errors import FormatError, UsageError
 from .sim import CELL, PITCHES, YAWS, Pose, Scene, visible_objects
 from .categories import GOAL_SET
+from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
 log = logging.getLogger(__name__)
 
@@ -231,18 +232,14 @@ def merge_graphs(graphs: list[KnowledgeGraph]) -> KnowledgeGraph:
 def graph_to_text(graph: KnowledgeGraph) -> str:
     m, n = graph.nodes.shape
     lines = [f"kg-v1 M={m} N={n} room={graph.room_category}"]
-    for row in graph.nodes:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for row in graph.edges:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(float_row(row) for row in graph.nodes)
+    lines.extend(float_row(row) for row in graph.edges)
     return "\n".join(lines) + "\n"
 
 
 def graph_from_text(text: str) -> KnowledgeGraph:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("kg-v1 "):
-        raise FormatError("line 1: not a kg-v1 file")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[1:] if "=" in part)
+    fields = header_fields(lines, "kg-v1")
     try:
         m, n = int(fields["M"]), int(fields["N"])
         room = fields["room"]
@@ -255,31 +252,17 @@ def graph_from_text(text: str) -> KnowledgeGraph:
     for i in range(1 + 2 * m, len(lines)):
         if lines[i].strip():
             raise FormatError(f"line {i + 1}: unexpected content after the {2 * m} matrix rows")
-
-    def parse_row(i: int, width: int) -> np.ndarray:
-        parts = lines[i].split()
-        if len(parts) != width:
-            raise FormatError(f"line {i + 1}: expected {width} floats, got {len(parts)}")
-        try:
-            return np.array([float(p) for p in parts])
-        except ValueError:
-            raise FormatError(f"line {i + 1}: unparsable float") from None
-
-    nodes = np.array([parse_row(1 + i, n) for i in range(m)])
-    edges = np.array([parse_row(1 + m + i, m) for i in range(m)])
+    nodes = np.array([parse_floats(lines[i].split(), i + 1, n) for i in range(1, 1 + m)])
+    edges = np.array([parse_floats(lines[i].split(), i + 1, m) for i in range(1 + m, 1 + 2 * m)])
     if (not np.allclose(edges, edges.T) or not np.allclose(np.diag(edges), 1.0)
             or edges.min() < -1e-12 or edges.max() > 1.0 + 1e-12):
         raise FormatError("edge matrix violates symmetry / diagonal / [0,1] bounds")
-    if not np.all(np.isfinite(nodes)):
-        raise FormatError("node matrix has non-finite entries")
     return KnowledgeGraph(nodes, edges, room)
 
 
 def save_graph(graph: KnowledgeGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(graph))
+    write_text(path, graph_to_text(graph))
 
 
 def load_graph(path) -> KnowledgeGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(read_text(path))

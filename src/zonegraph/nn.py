@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import FormatError, NonFiniteError, UsageError
+from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
 NUM_ACTIONS = 6
 DEFAULT_HIDDEN = 128
@@ -382,15 +383,13 @@ def checkpoint_to_text(arrays: dict, meta: dict) -> str:
         arr = np.asarray(arrays[name], dtype=float)
         shape = " ".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
         lines.append(f"array {name} {shape}")
-        lines.append(" ".join(repr(float(v)) for v in arr.reshape(-1)))
+        lines.append(float_row(arr))
     return "\n".join(lines) + "\n"
 
 
 def checkpoint_from_text(text: str) -> tuple[dict, dict]:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("ckpt-v1"):
-        raise FormatError("line 1: not a ckpt-v1 file")
-    meta = dict(part.split("=", 1) for part in lines[0].split()[1:] if "=" in part)
+    meta = header_fields(lines, "ckpt-v1")
     arrays: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):
@@ -405,31 +404,22 @@ def checkpoint_from_text(text: str) -> tuple[dict, dict]:
             raise FormatError(f"line {i + 1}: duplicate array {name!r}")
         if i + 1 >= len(lines):
             raise FormatError(f"line {i + 2}: missing values for array {name!r}")
+        dims = [] if parts[2:] == ["scalar"] else parts[2:]
+        if not all(d.isdecimal() for d in dims):
+            raise FormatError(f"line {i + 1}: bad shape for array {name!r}")
+        shape = tuple(map(int, dims))
+        flat = parse_floats(lines[i + 1].split(), i + 2, math.prod(shape))
         try:
-            flat = np.array([float(v) for v in lines[i + 1].split()])
-        except ValueError:
-            raise FormatError(f"line {i + 2}: unparsable float in array {name!r}") from None
-        if parts[2] == "scalar":
-            if flat.size != 1:
-                raise FormatError(f"line {i + 2}: scalar array {name!r} has {flat.size} values")
-            arrays[name] = np.array(flat[0])
-        else:
-            try:
-                shape = tuple(int(s) for s in parts[2:])
-            except ValueError:
-                raise FormatError(f"line {i + 1}: bad shape for array {name!r}") from None
-            if flat.size != int(np.prod(shape)):
-                raise FormatError(f"line {i + 2}: array {name!r} expects {np.prod(shape)} values")
             arrays[name] = flat.reshape(shape)
+        except ValueError:  # an empty array with a dimension numpy cannot index
+            raise FormatError(f"line {i + 1}: bad shape for array {name!r}") from None
         i += 2
     return arrays, meta
 
 
 def save_checkpoint(path, arrays: dict, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_text(arrays, meta))
+    write_text(path, checkpoint_to_text(arrays, meta))
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_text(fh.read())
+    return checkpoint_from_text(read_text(path))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .categories import GOAL_SET, ROOM_CATEGORIES
 from .errors import ConfigError, FormatError, GenerationError, UnreachableGoalError, UsageError
+from .textio import float_row, parse_floats, read_text, write_text
 
 CELL = 0.5  # meters per lattice step
 VIS_RANGE = 1.5  # meters; success / visibility threshold
@@ -498,7 +499,7 @@ def scene_to_text(scene: Scene) -> str:
         f"objects {len(scene.objects)}",
     ]
     for o in scene.objects:
-        lines.append(f"{o.category} {o.x!r} {o.z!r} {o.height_band}")
+        lines.append(f"{o.category} {float_row((o.x, o.z))} {o.height_band}")
     return "\n".join(lines) + "\n"
 
 
@@ -521,6 +522,8 @@ def scene_from_text(text: str) -> Scene:
         seed = int(need(4, "seed"))
     except ValueError as e:
         raise FormatError(f"bad size/seed header: {e}") from None
+    if width < 1 or depth < 1:
+        raise FormatError(f"line 4: size must be >= 1, got {width} {depth}")
     bitmap = need(5, "reachable").strip()
     if len(bitmap) != width * depth or set(bitmap) - {"0", "1"}:
         raise FormatError("line 6: reachability bitmap does not match size")
@@ -534,11 +537,8 @@ def scene_from_text(text: str) -> Scene:
         parts = need(7 + j, "").split()
         if len(parts) != 4:
             raise FormatError(f"line {8 + j}: expected 'category x z band'")
-        cat, xs, zs, band = parts
-        try:
-            x, z = float(xs), float(zs)
-        except ValueError:
-            raise FormatError(f"line {8 + j}: unparsable coordinate") from None
+        cat, _, _, band = parts
+        x, z = parse_floats(parts[1:3], 8 + j).tolist()
         if band not in BAND_PITCH:
             raise FormatError(f"line {8 + j}: bad height band {band!r}")
         objects.append(ObjectInstance(cat, x, z, band))
@@ -550,10 +550,8 @@ def scene_from_text(text: str) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scene_to_text(scene))
+    write_text(path, scene_to_text(scene))
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_text(fh.read())
+    return scene_from_text(read_text(path))

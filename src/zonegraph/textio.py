@@ -1,0 +1,56 @@
+"""The text codec the artifact formats share: file reads and writes, the
+versioned header line, and rows of floats.
+
+Floats are written as their shortest round-trip `repr`, so every artifact
+reads back bit for bit, and parsed only as finite values. A loader built on
+these functions returns a valid object or raises FormatError.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import FormatError
+
+
+def read_text(path) -> str:
+    """The file's contents; bytes that are not UTF-8 are a FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def header_fields(lines: list[str], magic: str) -> dict[str, str]:
+    """The `key=value` words of line 1, whose first word must be `magic`."""
+    words = lines[0].split() if lines else []
+    if not words or words[0] != magic:
+        raise FormatError(f"line 1: the file is not {magic}")
+    return dict(w.split("=", 1) for w in words[1:] if "=" in w)
+
+
+def float_row(values) -> str:
+    """The values, flattened, as space-separated shortest round-trip reprs."""
+    # float by float: `.tolist()` of a checkpoint's 101k-float array would
+    # raise the writer's peak RSS by ~3.5 MB
+    return " ".join(map(repr, map(float, np.asarray(values, dtype=float).reshape(-1))))
+
+
+def parse_floats(parts: list[str], lineno: int, count: int | None = None) -> np.ndarray:
+    """Line `lineno`'s float tokens as an array: exactly `count` of them when
+    given, each parsable and finite."""
+    if count is not None and len(parts) != count:
+        raise FormatError(f"line {lineno}: expected {count} floats, got {len(parts)}")
+    try:
+        values = np.array(parts, dtype=float)
+    except ValueError:
+        raise FormatError(f"line {lineno}: unparsable float") from None
+    if not np.isfinite(values).all():
+        raise FormatError(f"line {lineno}: non-finite value")
+    return values

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import zonegraph.nn as nn
 from zonegraph.embedding import EmbeddingProvider
 from zonegraph.sim import CELL, ObjectInstance, Scene
+
+# property tests draw the same examples on every run and stay short
+settings.register_profile("zonegraph", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("zonegraph")
 
 
 def make_scene(width, depth, objects, blocked=(), room="kitchen", sid="test", seed=0):

@@ -117,6 +117,17 @@ class TestBuildGraph:
         assert g.room_category == "kitchen" and g.feature_dim == 16
         assert 1 <= g.zone_count <= 4
 
+    def test_scene_not_utf8(self, tmp_path, capsys):
+        run_cli("gen-scenes", "--room", "kitchen", "--count", "1", "--seed", "5",
+                "--out", str(tmp_path / "s"))
+        (tmp_path / "s" / "zz.scene").write_bytes(bytes(range(256)))
+        code = run_cli("build-graph", "--scenes", str(tmp_path / "s"), "--room", "kitchen",
+                       "--out", str(tmp_path / "g.kg"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "g.kg").exists()
+
     def test_seed_determinism(self, tmp_path):
         run_cli("gen-scenes", "--room", "kitchen", "--count", "2", "--seed", "5",
                 "--out", str(tmp_path / "s"))
@@ -269,6 +280,29 @@ class TestTrainEval:
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error category=")
+
+    @pytest.mark.parametrize("target", ["binary", "directory"])
+    def test_eval_checkpoint_not_readable_text(self, pipeline, tmp_path, capsys, target):
+        ckpt = tmp_path / "model.ckpt"
+        if target == "binary":
+            ckpt.write_bytes(bytes(range(256)))
+        else:
+            ckpt.mkdir()
+        code = run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
+                    "--episodes", "1", "--seeds", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        category = "format" if target == "binary" else "io"
+        assert err.startswith(f"error category={category}:") and len(err.strip().splitlines()) == 1
+
+    def test_train_graph_not_utf8(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.kg"
+        bad.write_bytes(b"kg-v1 M=1 N=1 room=kitchen\n\xff\n1.0\n")
+        code = run(["train", "--scenes", str(pipeline / "scenes"), "--graph", str(bad),
+                    "--episodes", "1", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
 
     def test_train_rejects_negative_zone_count(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.kg"

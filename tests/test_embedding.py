@@ -56,6 +56,14 @@ class TestObjectEmbedding:
         v = prov.object_embedding("TotallyNewThing")
         assert v.shape == (16,) and abs(np.linalg.norm(v) - 1.0) < 1e-9
 
+    def test_lookups_leave_the_served_table_unchanged(self):
+        prov = EmbeddingProvider.synthetic(dim=4, seed=0)
+        before = embeddings_to_text(prov)
+        first = prov.object_embedding("Bowl")
+        assert embeddings_to_text(prov) == before == "embeddings-v1 D=4\n"
+        assert prov.known_categories() == ()
+        assert prov.object_embedding("Bowl") is first
+
 
 class TestImageFeature:
     def test_empty_observation_all_zero(self, provider):
