@@ -2,9 +2,11 @@
 checkouts can be compared byte for byte.
 
 Every output comes from `zonegraph.cli.run`, on the benchmark's world (four
-8x8 kitchens seeded 0-3):
+8x8 kitchens seeded 0-3), and on scene set 0 at 16x16 of every room
+category (four scenes seeded 0-3 each):
 
     kitchen.kg                   the merged knowledge graph
+    <room>-16x16.kg              each room's merged graph of set 0 at 16x16
     inspect-graph.out            `inspect-graph kitchen.kg`: the graph read back
     train-w{1,8}.ckpt(.log)      48 zero-shot training episodes, seed 0,
                                  stats every 16 episodes, 1 and 8 workers
@@ -30,6 +32,7 @@ import sys
 from pathlib import Path
 
 from zonegraph import cli
+from zonegraph.categories import ROOM_CATEGORIES
 
 CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "eval.ckpt"
 EVAL = ["--ckpt", str(CHECKPOINT), "--scenes", "scenes", "--split", "zero-shot",
@@ -54,6 +57,12 @@ def main(outdir: str) -> None:
     zonegraph("build-graph", ["build-graph", "--scenes", "scenes", "--room", "kitchen",
                               "--out", "kitchen.kg"])
     zonegraph("inspect-graph", ["inspect-graph", "kitchen.kg"])
+    for room in ROOM_CATEGORIES:
+        name = f"{room}-16x16"
+        zonegraph(f"gen-scenes-{name}", ["gen-scenes", "--room", room, "--count", "4",
+                                         "--size", "16x16", "--seed", "0", "--out", name])
+        zonegraph(f"build-graph-{name}", ["build-graph", "--scenes", name, "--room", room,
+                                          "--out", f"{name}.kg"])
     Path("train.cfg").write_text("stats_every = 16\n")
     for workers in (1, 8):
         zonegraph(f"train-w{workers}", [

@@ -25,6 +25,7 @@ from .graph import (
     load_graph,
     merge_graphs,
     save_graph,
+    validate_edges,
 )
 from .metrics import evaluate, report_summary_line, report_to_text, split_by_name
 from .policy import MASKABLE, TrainConfig, train
@@ -295,8 +296,9 @@ def load_checkpoint_bundle(path):
     """Split a checkpoint into (policy params, graph, provider, meta). The
     arrays must be exactly the policy parameters of the header's D, N and H
     (names and shapes as nn.param_shapes gives them) plus the (M, N) graph
-    nodes and (M, M) edges; anything else is a FormatError. The parser has
-    already rejected non-finite values."""
+    nodes and (M, M) edges, and the edges must keep kg-v1's edge rules;
+    anything else is a FormatError. The parser has already rejected
+    non-finite values."""
     arrays, meta = nn.load_checkpoint(path)
     try:
         dim, n_feat, zones, hidden = (int(meta[k]) for k in ("D", "N", "M", "H"))
@@ -321,6 +323,7 @@ def load_checkpoint_bundle(path):
                               f"expected {shape} for D={dim} N={n_feat} M={zones} H={hidden}")
     nodes = arrays.pop("graph_nodes")
     edges = arrays.pop("graph_edges")
+    validate_edges(edges)
     graph = KnowledgeGraph(nodes, edges, meta.get("room", ""))
     return arrays, graph, provider_from_config(emb), meta
 

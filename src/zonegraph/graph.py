@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .embedding import EmbeddingProvider
 from .errors import FormatError, UsageError
-from .sim import CELL, PITCHES, YAWS, Pose, Scene, visible_objects
+from .sim import CELL, EPS, HALF_FOV, PITCHES, YAWS, Scene
 from .categories import GOAL_SET
 from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
@@ -71,14 +71,19 @@ def sweep_position_features(scene: Scene, provider: EmbeddingProvider) -> Positi
     features = np.zeros((len(positions), provider.dim))
     counts = np.zeros(len(positions), dtype=int)
     for i, (x, z) in enumerate(positions):
+        goals = [(pitch, ang, provider.object_embedding(category))
+                 for category, pitch, ang, _ in scene.near_objects(x, z) if category in GOAL_SET]
         total = np.zeros(provider.dim)
         n = 0
+        # the views in visible_objects' order and with its field-of-view test,
+        # so the same vectors are added in the same order
         for yaw in YAWS:
             for pitch in PITCHES:
-                obs = visible_objects(scene, Pose(x, z, yaw, pitch))
-                for s in obs.visible:
-                    if s.category in GOAL_SET:
-                        total += provider.object_embedding(s.category)
+                for band, ang, vec in goals:
+                    if band != pitch:
+                        continue
+                    if ang is None or abs((ang - yaw + 180.0) % 360.0 - 180.0) <= HALF_FOV + EPS:
+                        total += vec
                         n += 1
         if n:
             features[i] = total / n
@@ -254,10 +259,16 @@ def graph_from_text(text: str) -> KnowledgeGraph:
             raise FormatError(f"line {i + 1}: unexpected content after the {2 * m} matrix rows")
     nodes = np.array([parse_floats(lines[i].split(), i + 1, n) for i in range(1, 1 + m)])
     edges = np.array([parse_floats(lines[i].split(), i + 1, m) for i in range(1 + m, 1 + 2 * m)])
+    validate_edges(edges)
+    return KnowledgeGraph(nodes, edges, room)
+
+
+def validate_edges(edges: np.ndarray) -> None:
+    """Raise FormatError unless a square matrix of finite floats keeps
+    kg-v1's edge rules: symmetric, diagonal 1, entries in [0, 1]."""
     if (not np.allclose(edges, edges.T) or not np.allclose(np.diag(edges), 1.0)
             or edges.min() < -1e-12 or edges.max() > 1.0 + 1e-12):
         raise FormatError("edge matrix violates symmetry / diagonal / [0,1] bounds")
-    return KnowledgeGraph(nodes, edges, room)
 
 
 def save_graph(graph: KnowledgeGraph, path) -> None:

@@ -133,9 +133,7 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
         f_gra = graph_feature(params, gs, subgoal)
         x = nn.CELL_INPUT_GAIN * compose_input(img, goal_emb, f_gra, prev_action, mask)
         h, c, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x, h, c)
-        logits, _ = nn.actor_critic(
-            params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"], h
-        )
+        logits = h @ params["actor_w"] + params["actor_b"]
         if greedy:
             action = nn.greedy_action(logits)
         else:

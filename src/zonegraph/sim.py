@@ -11,7 +11,7 @@ within 1.5 m at that moment) or when the step budget runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from importlib import resources
 
@@ -93,7 +93,14 @@ class Observation:
 
 @dataclass
 class Scene:
-    """Immutable after construction; safe to share across workers."""
+    """Immutable after construction.
+
+    `near_objects` memoises, per position asked about, the objects within
+    1.5 m and their geometry: the one place visibility geometry is
+    computed. The memo is exact because a scene's objects never change;
+    it stays out of repr and equality, and a scene made by
+    `dataclasses.replace` starts with an empty one.
+    """
 
     id: str
     room_category: str
@@ -102,11 +109,31 @@ class Scene:
     reachable: np.ndarray  # bool, shape (depth, width), indexed [iz, ix]
     objects: tuple[ObjectInstance, ...]
     seed: int
+    _near: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.reachable = np.asarray(self.reachable, dtype=bool)
         self.reachable.setflags(write=False)
         self.objects = tuple(self.objects)
+
+    def near_objects(self, x: float, z: float) -> tuple[tuple[str, int, float | None, float], ...]:
+        """(category, band pitch, angle, distance) of every object within
+        1.5 m of (x, z), in object order. The angle is the object's
+        direction in degrees, from +z toward +x as yaw turns; None for an
+        object on the position's own cell, which is visible at any yaw."""
+        near = self._near.get((x, z))
+        if near is None:
+            near = []
+            for obj in self.objects:
+                dx = obj.x - x
+                dz = obj.z - z
+                d2 = dx * dx + dz * dz
+                if d2 > VIS_RANGE_SQ + EPS:
+                    continue
+                ang = None if d2 <= EPS * EPS else math.degrees(math.atan2(dx, dz))
+                near.append((obj.category, BAND_PITCH[obj.height_band], ang, math.sqrt(d2)))
+            near = self._near[(x, z)] = tuple(near)
+        return near
 
     def cell_of(self, x: float, z: float) -> tuple[int, int]:
         return int(round(x / CELL)), int(round(z / CELL))
@@ -148,30 +175,20 @@ class EpisodeState:
     traveled: float = 0.0  # meters actually moved
 
 
-def _bearing(dx: float, dz: float, yaw: int) -> float:
-    ang = math.degrees(math.atan2(dx, dz))
-    return (ang - yaw + 180.0) % 360.0 - 180.0
-
-
 def visible_objects(scene: Scene, pose: Pose) -> Observation:
     """Objects within 1.5 m, inside the +-45 deg horizontal field of view,
     whose height band matches the camera pitch."""
     seen = []
-    for obj in scene.objects:
-        if BAND_PITCH[obj.height_band] != pose.pitch:
+    for category, pitch, ang, distance in scene.near_objects(pose.x, pose.z):
+        if pitch != pose.pitch:
             continue
-        dx = obj.x - pose.x
-        dz = obj.z - pose.z
-        d2 = dx * dx + dz * dz
-        if d2 > VIS_RANGE_SQ + EPS:
-            continue
-        if d2 <= EPS * EPS:
-            bearing = 0.0  # object on the agent's cell: visible at any yaw
+        if ang is None:
+            bearing = 0.0
         else:
-            bearing = _bearing(dx, dz, pose.yaw)
+            bearing = (ang - pose.yaw + 180.0) % 360.0 - 180.0
             if abs(bearing) > HALF_FOV + EPS:
                 continue
-        seen.append(Sighting(obj.category, 1, bearing, math.sqrt(d2)))
+        seen.append(Sighting(category, 1, bearing, distance))
     return Observation(visible=tuple(seen), pose=pose)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zonegraph import nn
 from zonegraph.cli import Config, load_checkpoint_bundle, parse_config_text, run
 from zonegraph.errors import ConfigError
 from zonegraph.graph import load_graph
@@ -259,6 +260,21 @@ class TestTrainEval:
         ckpt.write_text(self._edit_array((pipeline / "model.ckpt").read_text(), name, edit))
         code = run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
                     "--episodes", "1", "--seeds", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
+
+    def test_eval_rejects_checkpoint_edges_breaking_kg_rules(self, pipeline, tmp_path, capsys):
+        # well-formed arrays of the right shapes, but edges that no kg-v1 file
+        # may hold: 7.5 and -3.0 off the diagonal, 0.0 on it
+        arrays, meta = nn.load_checkpoint(pipeline / "model.ckpt")
+        m = arrays["graph_edges"].shape[0]
+        arrays["graph_edges"] = np.where(np.eye(m, dtype=bool), 0.0, 7.5)
+        arrays["graph_edges"][0, 1] = arrays["graph_edges"][1, 0] = -3.0
+        ckpt = tmp_path / "bad-edges.ckpt"
+        nn.save_checkpoint(ckpt, arrays, meta)
+        code = run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
+                    "--episodes", "3", "--seeds", "1"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1

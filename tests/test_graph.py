@@ -18,8 +18,10 @@ from zonegraph.graph import (
     matching_objective,
     merge_graphs,
     sweep_position_features,
+    validate_edges,
 )
-from zonegraph.sim import CELL, PITCHES, YAWS, generate_scene
+from zonegraph.categories import GOAL_SET, ROOM_CATEGORIES
+from zonegraph.sim import CELL, PITCHES, YAWS, Pose, generate_scene, visible_objects
 
 from conftest import make_scene
 
@@ -51,6 +53,28 @@ def oracle_sweep(scene, provider):
                     n += 1
         out[(x, z)] = (total / n if n else total, n)
     return out
+
+
+def _sweep_reference(scene, provider):
+    """sweep_position_features as a loop over visible_objects, one call per
+    view: the summation order the sweep must keep, so its features are
+    bitwise the same."""
+    positions = sorted((ix * CELL, iz * CELL) for ix, iz in scene.reachable_cells())
+    features = np.zeros((len(positions), provider.dim))
+    counts = np.zeros(len(positions), dtype=int)
+    for i, (x, z) in enumerate(positions):
+        total = np.zeros(provider.dim)
+        n = 0
+        for yaw in YAWS:
+            for pitch in PITCHES:
+                for s in visible_objects(scene, Pose(x, z, yaw, pitch)).visible:
+                    if s.category in GOAL_SET:
+                        total += provider.object_embedding(s.category)
+                        n += 1
+        if n:
+            features[i] = total / n
+        counts[i] = n
+    return PositionFeatureMap(tuple(positions), features, counts)
 
 
 def pair_loop_edges(assignment, feature_map, eps):
@@ -145,6 +169,17 @@ class TestSweep:
             feat, count = oracle[pos]
             assert fmap.counts[i] == count
             np.testing.assert_allclose(fmap.features[i], feat, atol=1e-12)
+
+
+    @pytest.mark.parametrize("size", [(8, 8), (16, 16)])
+    @pytest.mark.parametrize("room", ROOM_CATEGORIES)
+    def test_bitwise_equal_reference(self, provider, room, size):
+        # a fresh scene, so the sweep fills the visibility memo itself
+        got = sweep_position_features(generate_scene(room, size, 0), provider)
+        want = _sweep_reference(generate_scene(room, size, 0), provider)
+        assert got.positions == want.positions
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
 
 
 class TestCluster:
@@ -457,3 +492,16 @@ class TestGraphFile:
     def test_feature_dim_below_one_rejected(self, n):
         with pytest.raises(FormatError, match="M and N"):
             graph_from_text(f"kg-v1 M=1 N={n} room=kitchen\n\n1.0\n")
+
+    @pytest.mark.parametrize("edges", [
+        [[1.0, 0.5], [0.4, 1.0]],
+        [[0.0, 0.5], [0.5, 1.0]],
+        [[1.0, 7.5], [7.5, 1.0]],
+        [[1.0, -3.0], [-3.0, 1.0]],
+    ], ids=["asymmetric", "diagonal-0", "above-1", "below-0"])
+    def test_edge_rules_reject(self, edges):
+        with pytest.raises(FormatError, match="edge matrix"):
+            validate_edges(np.array(edges))
+
+    def test_edge_rules_accept_bounds(self):
+        validate_edges(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.25], [1.0, 0.25, 1.0]]))

@@ -1,12 +1,22 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from zonegraph.categories import GOAL_SET
+from zonegraph.categories import GOAL_SET, ROOM_CATEGORIES
 from zonegraph.errors import ConfigError, FormatError, GenerationError, UsageError
 from zonegraph.sim import (
     Action,
+    BAND_PITCH,
     CELL,
+    EPS,
+    HALF_FOV,
+    Observation,
+    PITCHES,
     Pose,
+    Sighting,
+    VIS_RANGE_SQ,
     YAWS,
     generate_scene,
     goal_visible,
@@ -62,6 +72,33 @@ def flood_fill_hops(reach, start, targets):
                 nxt.append(c)
         frontier = nxt
     return None
+
+
+def _bearing(dx, dz, yaw):
+    ang = math.degrees(math.atan2(dx, dz))
+    return (ang - yaw + 180.0) % 360.0 - 180.0
+
+
+def _visible_objects_reference(scene, pose):
+    """visible_objects as one loop over every object, recomputing range and
+    bearing per view: the formula the scene's memo must reproduce bitwise."""
+    seen = []
+    for obj in scene.objects:
+        if BAND_PITCH[obj.height_band] != pose.pitch:
+            continue
+        dx = obj.x - pose.x
+        dz = obj.z - pose.z
+        d2 = dx * dx + dz * dz
+        if d2 > VIS_RANGE_SQ + EPS:
+            continue
+        if d2 <= EPS * EPS:
+            bearing = 0.0  # object on the agent's cell: visible at any yaw
+        else:
+            bearing = _bearing(dx, dz, pose.yaw)
+            if abs(bearing) > HALF_FOV + EPS:
+                continue
+        seen.append(Sighting(obj.category, 1, bearing, math.sqrt(d2)))
+    return Observation(visible=tuple(seen), pose=pose)
 
 
 class TestGeneration:
@@ -139,6 +176,44 @@ class TestVisibility:
         scene = make_scene(9, 9, [("Sink", 6, 4, "mid")])  # due east of (4,4)
         seen_from = [yaw for yaw in YAWS if goal_visible(scene, Pose(2.0, 2.0, yaw, 0), "Sink")]
         assert seen_from == [45, 90, 135]
+
+
+class TestVisibilityMemo:
+    @pytest.mark.parametrize("size", [(8, 8), (16, 16)])
+    @pytest.mark.parametrize("room", ROOM_CATEGORIES)
+    def test_every_view_bitwise_equal_reference(self, room, size):
+        # every cell, object cells included, from a cold memo and a warm one
+        scene = generate_scene(room, size, 0)
+        poses = [Pose(ix * CELL, iz * CELL, yaw, pitch)
+                 for iz in range(scene.depth) for ix in range(scene.width)
+                 for yaw in YAWS for pitch in PITCHES]
+        for _ in range(2):
+            for pose in poses:
+                assert visible_objects(scene, pose) == _visible_objects_reference(scene, pose)
+
+    def test_cell_shared_with_object_sees_it_at_every_yaw(self):
+        scene = make_scene(5, 5, [("Sink", 2, 2, "mid"), ("Pan", 2, 3, "mid")])
+        for yaw in YAWS:
+            got = visible_objects(scene, Pose(1.0, 1.0, yaw, 0))
+            assert got == _visible_objects_reference(scene, Pose(1.0, 1.0, yaw, 0))
+            assert got.visible[0] == Sighting("Sink", 1, 0.0, 0.0)
+
+    def test_warm_memo_leaves_repr_and_text(self):
+        scene = generate_scene("kitchen", (8, 8), 3)
+        text, shown = scene_to_text(scene), repr(scene)
+        for ix, iz in scene.reachable_cells():
+            visible_objects(scene, Pose(ix * CELL, iz * CELL, 0, 0))
+        assert scene_to_text(scene) == text and repr(scene) == shown
+
+    def test_replaced_scene_sees_its_own_objects(self):
+        scene = make_scene(5, 5, [("Sink", 2, 3, "mid")])
+        pose = Pose(1.0, 1.0, 0, 0)
+        assert [s.category for s in visible_objects(scene, pose).visible] == ["Sink"]
+        moved = dataclasses.replace(scene, objects=(dataclasses.replace(
+            scene.objects[0], category="Pan"),))
+        assert [s.category for s in visible_objects(moved, pose).visible] == ["Pan"]
+        assert visible_objects(moved, pose) == _visible_objects_reference(moved, pose)
+        assert [s.category for s in visible_objects(scene, pose).visible] == ["Sink"]
 
 
 class TestStep:
