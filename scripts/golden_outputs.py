@@ -13,6 +13,10 @@ category (four scenes seeded 0-3 each):
     eval.report                  bench/data/eval.ckpt, zero-shot, greedy,
                                  150 episodes at seeds 1,2,3
     eval-mask-gra.report         the same with the graph input masked
+    eval-mask-img-obj-act.report the same with the image, goal and action
+                                 inputs masked; with eval-mask-gra, every
+                                 slice of the recurrent cell's input is
+                                 zeroed in one of the runs
     *.out                        each command's printed output
 
 The commands run inside the output directory with relative paths, so the
@@ -71,6 +75,8 @@ def main(outdir: str) -> None:
             "--workers", str(workers), "--split", "zero-shot"])
     zonegraph("eval", ["eval", *EVAL, "--out", "eval.report"])
     zonegraph("eval-mask-gra", ["eval", *EVAL, "--mask", "gra", "--out", "eval-mask-gra.report"])
+    zonegraph("eval-mask-img-obj-act", ["eval", *EVAL, "--mask", "img,obj,act",
+                                        "--out", "eval-mask-img-obj-act.report"])
 
 
 if __name__ == "__main__":

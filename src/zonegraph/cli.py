@@ -4,6 +4,7 @@ evaluation, graph inspection, and the embedded selfcheck."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
@@ -394,10 +395,16 @@ def cmd_inspect_graph(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), once per process: parse_args starts every call from a
+    fresh namespace, so no parsed value carries over to the next command."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "gen-scenes":
             return cmd_gen_scenes(args)
         if args.command == "build-graph":

@@ -37,9 +37,12 @@ class GraphState:
 
 
 def locate_current_zone(state: GraphState, f_obs: np.ndarray) -> int:
-    """Nearest adapted node by Euclidean distance; ties go to the lowest id."""
-    d2 = np.sum((state.adapted - f_obs[None, :]) ** 2, axis=1)
-    return int(np.argmin(d2))
+    """Nearest adapted node by Euclidean distance; ties go to the lowest id.
+    The squared distances are formed in one buffer, the same products and
+    sums as `np.sum((adapted - f_obs) ** 2, axis=1)`."""
+    d = state.adapted - f_obs
+    d *= d
+    return int(d.sum(axis=1).argmin())
 
 
 def adapt_graph(state: GraphState, f_obs: np.ndarray, zone: int) -> None:

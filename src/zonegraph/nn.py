@@ -181,12 +181,24 @@ def gcn_backward_seq(cache, dout_rows: np.ndarray, w1: np.ndarray, w2: np.ndarra
 
 def lstm_step(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
               h: np.ndarray, c: np.ndarray):
+    """One step of the cell. The gates are computed in place in the fresh
+    pre-activation vector, with the operations and the order of sigmoid and
+    of `f * c + i * g`, so the result is bitwise theirs. The cache holds `x`
+    itself, not a copy: a caller that reuses its input buffer must not keep
+    the cache."""
     hid = wh.shape[0]
-    z = x @ wx + h @ wh + b
-    gates = sigmoid(z[: 3 * hid])  # i | f | o, elementwise as one call
+    z = x @ wx
+    z += h @ wh
+    z += b
+    gates = z[: 3 * hid]  # i | f | o: 1 / (1 + exp(-z)), elementwise in place
+    np.negative(gates, out=gates)
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.reciprocal(gates, out=gates)
     i, f, o = gates[:hid], gates[hid : 2 * hid], gates[2 * hid :]
-    g = np.tanh(z[3 * hid :])
-    c2 = f * c + i * g
+    g = np.tanh(z[3 * hid :], out=z[3 * hid :])
+    c2 = f * c
+    c2 += i * g
     tc = np.tanh(c2)
     h2 = o * tc
     cache = (x, h, c, i, f, o, g, tc)

@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .controller import GraphState, adapt_graph, graph_feature, locate_current_zone, plan_subgoal, target_zone
 from .embedding import EmbeddingProvider, observation_feature, pooled_image_feature
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, UsageError
 from .graph import KnowledgeGraph
 from .sim import Action, EpisodeState, NUM_ACTIONS, Scene, reset_episode, step, visible_objects
 
@@ -86,13 +86,17 @@ def one_hot_action(prev_action: int) -> np.ndarray:
     return act
 
 
+def _check_mask(mask: frozenset) -> None:
+    bad = mask - MASKABLE
+    if bad:
+        raise ConfigError(f"unknown mask component(s): {sorted(bad)}")
+
+
 def compose_input(img: np.ndarray, goal_emb: np.ndarray, f_gra: np.ndarray,
                   prev_action: int, mask: frozenset = frozenset()) -> np.ndarray:
     """Concatenate [image | goal | graph | previous action]; masked components
     are zeroed at composition (ablation hook)."""
-    bad = mask - MASKABLE
-    if bad:
-        raise ConfigError(f"unknown mask component(s): {sorted(bad)}")
+    _check_mask(mask)
     act = one_hot_action(prev_action)
     parts = [
         np.zeros_like(img) if "img" in mask else img,
@@ -112,35 +116,65 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
             provider: EmbeddingProvider, rng, greedy: bool = False,
             mask: frozenset = frozenset()) -> Trajectory:
     """Run one episode to termination. Sampling uses the softmax policy with
-    the supplied generator; greedy mode takes argmax with lowest-index ties."""
+    the supplied generator; greedy mode takes argmax with lowest-index ties.
+
+    Perception depends only on the scene, the pose and the provider, which
+    an episode never changes, so each pose's features are computed on its
+    first visit and reused on later ones. The cell input is one buffer laid
+    out as compose_input's [image | goal | graph | action], each slice
+    holding CELL_INPUT_GAIN times its part, the same product compose_input's
+    caller forms; masked slices stay 0.0."""
+    if state.terminated:
+        raise UsageError("rollout() on a terminated episode")
+    _check_mask(mask)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng) & _SEED_MASK)
     gs = GraphState(graph, lam=float(nn.sigmoid(params["lambda_raw"])))
     goal_emb = provider.object_embedding(state.goal)
     z_target = target_zone(gs, goal_emb)
+    wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
+    actor_w, actor_b = params["actor_w"], params["actor_b"]
     hidden = nn.hidden_size(params)
     h = np.zeros(hidden)
     c = np.zeros(hidden)
+    dim = goal_emb.shape[0]
+    x = np.zeros(nn.input_size(dim, graph.feature_dim))
+    x_img, x_goal = x[:dim], x[dim : 2 * dim]
+    x_gra, x_act = x[2 * dim : 2 * dim + graph.feature_dim], x[2 * dim + graph.feature_dim :]
+    use_img, use_gra, use_act = "img" not in mask, "gra" not in mask, "act" not in mask
+    if "obj" not in mask:
+        np.multiply(nn.CELL_INPUT_GAIN, goal_emb, out=x_goal)
+    perceived = {}  # pose -> (img, f_obs, CELL_INPUT_GAIN * img), all read-only
     records = []  # per step: img, f_obs, zone, subgoal, action, reward (Trajectory's order)
-    prev_action = -1
     while not state.terminated:
-        obs = visible_objects(state.scene, state.pose)
-        img = nn.IMG_INPUT_GAIN * pooled_image_feature(provider, obs)
-        f_obs = observation_feature(provider, obs)
+        seen = perceived.get(state.pose)
+        if seen is None:
+            obs = visible_objects(state.scene, state.pose)
+            img = nn.IMG_INPUT_GAIN * pooled_image_feature(provider, obs)
+            seen = (img, observation_feature(provider, obs), nn.CELL_INPUT_GAIN * img)
+            for array in seen:
+                array.flags.writeable = False
+            perceived[state.pose] = seen
+        img, f_obs, cell_img = seen
         zone = locate_current_zone(gs, f_obs)
         adapt_graph(gs, f_obs, zone)
         subgoal = plan_subgoal(gs, zone, z_target)
         f_gra = graph_feature(params, gs, subgoal)
-        x = nn.CELL_INPUT_GAIN * compose_input(img, goal_emb, f_gra, prev_action, mask)
-        h, c, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x, h, c)
-        logits = h @ params["actor_w"] + params["actor_b"]
+        if use_img:
+            x_img[:] = cell_img
+        if use_gra:
+            np.multiply(nn.CELL_INPUT_GAIN, f_gra, out=x_gra)
+        h, c, _ = nn.lstm_step(wx, wh, b, x, h, c)
+        logits = h @ actor_w + actor_b
         if greedy:
             action = nn.greedy_action(logits)
         else:
             action = nn.sample_action(rng, logits)
         event = step(state, Action(action))
         records.append((img, f_obs, zone, subgoal, action, reward(event)))
-        prev_action = action
+        if use_act:  # the next step's one-hot previous action
+            x_act.fill(0.0)
+            x_act[action] = nn.CELL_INPUT_GAIN
     columns = [np.array(column) for column in zip(*records)]
     return Trajectory(*columns, goal=state.goal, goal_emb=goal_emb, success=state.success,
                       mask=mask)

@@ -11,7 +11,7 @@ within 1.5 m at that moment) or when the step budget runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from importlib import resources
 
@@ -212,24 +212,24 @@ def step(state: EpisodeState, action: Action) -> str:
         dx, dz = HEADING[pose.yaw]
         nx, nz = pose.x + dx, pose.z + dz
         if state.scene.is_reachable(nx, nz):
-            pose = replace(pose, x=nx, z=nz)
+            pose = Pose(nx, nz, pose.yaw, pose.pitch)
             state.traveled += math.hypot(dx, dz)
         else:
             event = "blocked"
     elif action == Action.ROTATE_LEFT:
-        pose = replace(pose, yaw=(pose.yaw - 45) % 360)
+        pose = Pose(pose.x, pose.z, (pose.yaw - 45) % 360, pose.pitch)
         event = "rotated"
     elif action == Action.ROTATE_RIGHT:
-        pose = replace(pose, yaw=(pose.yaw + 45) % 360)
+        pose = Pose(pose.x, pose.z, (pose.yaw + 45) % 360, pose.pitch)
         event = "rotated"
     elif action == Action.LOOK_DOWN:
         np_ = max(PITCHES[0], pose.pitch - 30)
         event = "clamped" if np_ == pose.pitch else "looked"
-        pose = replace(pose, pitch=np_)
+        pose = Pose(pose.x, pose.z, pose.yaw, np_)
     elif action == Action.LOOK_UP:
         np_ = min(PITCHES[-1], pose.pitch + 30)
         event = "clamped" if np_ == pose.pitch else "looked"
-        pose = replace(pose, pitch=np_)
+        pose = Pose(pose.x, pose.z, pose.yaw, np_)
     elif action == Action.DONE:
         state.terminated = True
         state.success = goal_visible(state.scene, pose, state.goal)

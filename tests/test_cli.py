@@ -67,6 +67,38 @@ class TestConfig:
         assert parse_config_text(block) == defaults
 
 
+class TestParser:
+    def test_no_parsed_value_carries_over(self, monkeypatch):
+        # one parser serves every call in a process: each command's options
+        # come from its own argv alone
+        from zonegraph import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(vars(args)) or 0)
+        base = ["train", "--scenes", "s", "--graph", "g.kg", "--out", "m.ckpt"]
+        assert run([*base, "--workers", "8", "--seed", "3", "--split", "general"]) == 0
+        assert run(["eval", "--ckpt", "m.ckpt", "--scenes", "s", "--mask", "gra"]) == 0
+        assert run(base) == 0
+        assert seen[0]["workers"] == 8 and seen[0]["seed"] == 3
+        assert seen[1]["mask"] == "gra" and "workers" not in seen[1]
+        assert (seen[2]["workers"], seen[2]["seed"], seen[2]["split"], seen[2]["episodes"]) == \
+            (None, None, None, None)
+        assert "mask" not in seen[2] and "ckpt" not in seen[2]
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        from zonegraph import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        assert run(["inspect-graph"]) == 1  # a usage error: no path
+        assert run(["gen-scenes", "--frobnicate"]) == 1
+        assert len(built) == 1
+        assert capsys.readouterr().err.count("error category=usage:") == 2
+
+
 class TestGenScenes:
     def test_writes_count_files_exit_zero(self, tmp_path, capsys):
         code = run_cli("gen-scenes", "--room", "bedroom", "--count", "4",

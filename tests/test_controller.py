@@ -44,6 +44,34 @@ class TestLocate:
             best = min(range(5), key=lambda m: float(((nodes[m] - f) ** 2).sum()))
             assert locate_current_zone(gs, f) == best
 
+    @staticmethod
+    def _old_formula(gs, f_obs):
+        return int(np.argmin(np.sum((gs.adapted - f_obs[None, :]) ** 2, axis=1)))
+
+    def test_matches_old_formula(self):
+        # the in-place distances against the one-expression form: random
+        # nodes, exact ties between duplicate rows, and a zero observation
+        rng = np.random.default_rng(2)
+        for trial in range(200):
+            m, d = int(rng.integers(1, 12)), int(rng.integers(1, 70))
+            nodes = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4)
+            if m > 2 and trial % 2:
+                nodes[m - 1] = nodes[1]  # an exact tie, possibly the nearest
+                nodes[0] = nodes[m - 2]
+            gs = GraphState(graph_of(nodes))
+            for f in (rng.normal(size=d), np.zeros(d), nodes[m // 2].copy(),
+                      0.5 * (nodes[0] + nodes[m - 1])):
+                assert locate_current_zone(gs, f) == self._old_formula(gs, f)
+
+    def test_tied_rows_at_zero_observation(self):
+        nodes = np.array([[0.0, 3.0], [3.0, 0.0], [-3.0, 0.0], [0.0, -3.0]])
+        gs = GraphState(graph_of(nodes))
+        zero = np.zeros(2)
+        assert locate_current_zone(gs, zero) == self._old_formula(gs, zero) == 0
+        nodes[0] = [0.0, 4.0]
+        gs = GraphState(graph_of(nodes))
+        assert locate_current_zone(gs, zero) == self._old_formula(gs, zero) == 1
+
     def test_uses_adapted_features(self):
         nodes = np.array([[1.0, 0.0], [0.0, 1.0]])
         gs = GraphState(graph_of(nodes), lam=1.0)

@@ -160,6 +160,31 @@ class TestLstm:
                 h, c = got[0], got[1]
 
 
+    @pytest.mark.parametrize("hidden", [1, 7])
+    def test_bitwise_the_split_formula_at_extremes(self, hidden):
+        # pre-activations of +-800 overflow exp in the sigmoid, and a NaN
+        # input reaches every gate; both must come out as the split formula's
+        f = 10
+        rng = np.random.default_rng(hidden)
+        wx = np.zeros((f, 4 * hidden))
+        wx[0] = rng.choice([-800.0, 800.0], size=4 * hidden)
+        wh = rng.normal(size=(hidden, 4 * hidden))
+        b = rng.normal(size=4 * hidden)
+        x = np.zeros(f)
+        x[0] = 1.0
+        cases = [(x, np.zeros(hidden), np.zeros(hidden)),
+                 (-x, rng.normal(size=hidden), rng.normal(size=hidden)),
+                 (np.where(np.arange(f) == 3, np.nan, x), np.zeros(hidden), np.ones(hidden)),
+                 (x, np.full(hidden, np.nan), np.zeros(hidden)),
+                 (x, np.zeros(hidden), np.full(hidden, np.nan))]
+        for x_in, h, c in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = nn.lstm_step(wx, wh, b, x_in, h, c)
+                want = lstm_step_split(wx, wh, b, x_in, h, c)
+            for a, w in zip(got[:2] + got[2], want[:2] + want[2]):
+                assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+
 class TestSampleAction:
     """nn.sample_action against Generator.choice on the same probabilities:
     the same index, and the same generator state after the draw."""

@@ -13,7 +13,8 @@ from zonegraph.controller import (
     target_zone,
 )
 from zonegraph.embedding import EmbeddingProvider, image_feature, observation_feature
-from zonegraph.errors import ConfigError
+from zonegraph import policy
+from zonegraph.errors import ConfigError, UsageError
 from zonegraph.graph import KnowledgeGraph, build_scene_graph
 from zonegraph.policy import (
     TrainConfig,
@@ -302,6 +303,14 @@ class TestRollout:
                     rng=999, greedy=True)
         assert np.array_equal(a.actions, b.actions)
 
+    def test_terminated_episode_rejected(self, small_provider):
+        scene, graph = tiny_world(small_provider)
+        params = nn.init_params(8, graph.feature_dim, hidden=8, seed=0)
+        state = reset_episode(scene, "Bowl", seed=0)
+        rollout(state, params, graph, small_provider, rng=0)
+        with pytest.raises(UsageError, match="terminated"):
+            rollout(state, params, graph, small_provider, rng=0)
+
     def test_exactly_one_terminal_step(self, small_provider):
         # one record per environment step, the last of which ends the episode
         scene, graph = tiny_world(small_provider)
@@ -340,8 +349,23 @@ class TestRolloutMatchesReference:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
+    @classmethod
+    def _compare(cls, scene, graph, provider, params, goal, seed, t_max, greedy, mask):
+        st_a = reset_episode(scene, goal, seed=seed, t_max=t_max)
+        st_b = reset_episode(scene, goal, seed=seed, t_max=t_max)
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        got = rollout(st_a, params, graph, provider, rng_a, greedy=greedy, mask=mask)
+        want = _rollout_reference(st_b, params, graph, provider, rng_b, greedy, mask)
+        cls._assert_same(got, want)
+        assert (st_a.pose, st_a.step_count, st_a.success, st_a.traveled) == \
+            (st_b.pose, st_b.step_count, st_b.success, st_b.traveled)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        return got
+
     @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
-    @pytest.mark.parametrize("mask", [(), ("img",), ("gra",), ("obj", "act")])
+    @pytest.mark.parametrize("mask", [(), ("img",), ("gra",), ("obj", "act"), ("act",),
+                                      ("img", "obj", "gra", "act")])
     def test_bitwise_identical(self, worlds, greedy, mask):
         mask = frozenset(mask)
         lengths = set()
@@ -349,18 +373,48 @@ class TestRolloutMatchesReference:
             for g, goal in enumerate(goals):
                 for t_max in (6, 100):
                     seed = 100 * w + 10 * g + t_max
-                    st_a = reset_episode(scene, goal, seed=seed, t_max=t_max)
-                    st_b = reset_episode(scene, goal, seed=seed, t_max=t_max)
-                    rng_a = np.random.default_rng(seed)
-                    rng_b = np.random.default_rng(seed)
-                    got = rollout(st_a, params, graph, provider, rng_a, greedy=greedy, mask=mask)
-                    want = _rollout_reference(st_b, params, graph, provider, rng_b, greedy, mask)
-                    self._assert_same(got, want)
-                    assert (st_a.pose, st_a.step_count, st_a.success, st_a.traveled) == \
-                        (st_b.pose, st_b.step_count, st_b.success, st_b.traveled)
-                    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                    got = self._compare(scene, graph, provider, params, goal, seed, t_max,
+                                        greedy, mask)
                     lengths.add(got.length)
         assert len(lengths) >= 2  # episodes of several lengths were compared
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    def test_turning_in_place_revisits_poses(self, worlds, greedy, monkeypatch):
+        # a policy that mostly turns and looks in place revisits its few
+        # poses, so most steps read the episode's perception memo; perception
+        # runs once per distinct pose
+        calls = []
+        real = policy.visible_objects
+
+        def counted(scene, pose):
+            calls.append(pose)
+            return real(scene, pose)
+
+        monkeypatch.setattr(policy, "visible_objects", counted)
+        for w, (scene, graph, provider, params, goals) in enumerate(worlds):
+            turning = dict(params)
+            turning["actor_w"] = params["actor_w"] * 0.01
+            turning["actor_b"] = np.array([-4.0, 6.0, 2.0, 5.0, 5.0, -8.0])
+            for g, goal in enumerate(goals):
+                calls.clear()
+                got = self._compare(scene, graph, provider, turning, goal, 7 * w + g, 60,
+                                    greedy, frozenset())
+                assert len(calls) == len(set(calls))
+                assert got.length == 60 and 2 * len(calls) <= got.length
+
+    def test_memo_does_not_outlive_its_episode(self, worlds):
+        # the same episode on one scene under two providers: each rollout
+        # matches the reference under its own provider
+        scene, graph, provider, params, goals = worlds[0]
+        other = EmbeddingProvider.synthetic(dim=provider.dim, seed=1)
+        saw_objects = False
+        for greedy in (False, True):
+            for seed in range(4):
+                for p in (provider, other, provider):
+                    got = self._compare(scene, graph, p, params, goals[0], seed, 40, greedy,
+                                        frozenset())
+                    saw_objects = saw_objects or bool(got.img.any())
+        assert saw_objects  # the providers' features entered some episodes
 
 
 class TestReturnsAndLoss:
