@@ -17,6 +17,9 @@ category (four scenes seeded 0-3 each):
                                  inputs masked; with eval-mask-gra, every
                                  slice of the recurrent cell's input is
                                  zeroed in one of the runs
+    selfcheck.out                `selfcheck`: the embedded oracle suite, whose
+                                 finite-difference figure goes through the
+                                 sequence kernels of the A2C update
     *.out                        each command's printed output
 
 The commands run inside the output directory with relative paths, so the
@@ -77,6 +80,7 @@ def main(outdir: str) -> None:
     zonegraph("eval-mask-gra", ["eval", *EVAL, "--mask", "gra", "--out", "eval-mask-gra.report"])
     zonegraph("eval-mask-img-obj-act", ["eval", *EVAL, "--mask", "img,obj,act",
                                         "--out", "eval-mask-img-obj-act.report"])
+    zonegraph("selfcheck", ["selfcheck"])
 
 
 if __name__ == "__main__":

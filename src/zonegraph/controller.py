@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UsageError
 from .graph import KnowledgeGraph
-from .nn import gcn_forward, normalize_adjacency
+from .nn import gcn_forward_seq, normalize_adjacency
 
 
 class GraphState:
@@ -26,14 +26,11 @@ class GraphState:
 
     def __init__(self, base: KnowledgeGraph, lam: float = 0.5):
         self.base = base
+        self.zone_count = base.zone_count
         self.lam = float(lam)
         self.ahat = normalize_adjacency(base.edges)
         self.adapted = base.nodes.copy()
         self.subgoals: dict[tuple[int, int], int] = {}
-
-    @property
-    def zone_count(self) -> int:
-        return self.base.zone_count
 
 
 def locate_current_zone(state: GraphState, f_obs: np.ndarray) -> int:
@@ -119,8 +116,10 @@ def plan_subgoal(state: GraphState, current: int, target: int) -> int:
 
 
 def graph_feature(params: dict, state: GraphState, subgoal: int) -> np.ndarray:
-    """GCN over (adapted nodes, base edges); returns the sub-goal node's row."""
+    """GCN over (adapted nodes, base edges); returns the sub-goal node's row,
+    through the sequence kernel of the update as a one-step sequence."""
     if not 0 <= subgoal < state.zone_count:
         raise UsageError(f"subgoal {subgoal} out of range")
-    out, _ = gcn_forward(params["gcn_w1"], params["gcn_w2"], state.adapted, state.ahat)
-    return out[subgoal]
+    out, _ = gcn_forward_seq(params["gcn_w1"], params["gcn_w2"], state.adapted[None], state.ahat,
+                             [subgoal])
+    return out[0]

@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .embedding import EmbeddingProvider
 from .errors import FormatError, UsageError
-from .sim import CELL, EPS, HALF_FOV, PITCHES, YAWS, Scene
+from .sim import CELL, EPS, HALF_FOV, PITCHES, SEED_MASK, YAWS, Scene
 from .categories import GOAL_SET
 from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
@@ -29,7 +29,6 @@ DEFAULT_EPS = 0.5  # meters; Manhattan adjacency threshold (one grid step)
 _ADJ_TOL = 1e-9
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-6
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -121,7 +120,7 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
     if zones < 1:
         raise UsageError("zone count must be >= 1")
     x = feature_map.features
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed & SEED_MASK)
     centers = _kmeans_pp_init(x, zones, rng)
     if len(centers) < zones:
         log.info("k-means++ produced %d centers for requested %d (duplicate features)",

@@ -13,9 +13,8 @@ from .embedding import EmbeddingProvider
 from .errors import ConfigError, UsageError
 from .graph import KnowledgeGraph
 from .policy import rollout
-from .sim import Action, EpisodeState, NUM_ACTIONS, Scene, reset_episode, shortest_path_length, step
-
-_SEED_MASK = (1 << 64) - 1
+from .sim import (NUM_ACTIONS, SEED_MASK, Action, EpisodeState, Scene, reset_episode,
+                  shortest_path_length, step)
 
 
 @dataclass
@@ -172,7 +171,7 @@ def evaluate(params, graph: KnowledgeGraph, provider: EmbeddingProvider, scenes:
     for seed in seeds:
         records = []
         for i, (scene, goal) in enumerate(schedule):
-            ss = np.random.SeedSequence([int(seed) & _SEED_MASK, 0xE7A1, i])
+            ss = np.random.SeedSequence([int(seed) & SEED_MASK, 0xE7A1, i])
             rng = np.random.default_rng(ss)
             reset_seed = int(rng.integers(2**63))
             rec = run_eval_episode(

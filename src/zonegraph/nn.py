@@ -12,18 +12,24 @@ import math
 import numpy as np
 
 from .errors import FormatError, NonFiniteError, UsageError
+from .sim import NUM_ACTIONS, SEED_MASK
 from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
-NUM_ACTIONS = 6
 DEFAULT_HIDDEN = 128
-_SEED_MASK = (1 << 64) - 1
 
 Params = dict  # name -> np.ndarray
 
 
+def input_layout(dim: int, node_dim: int) -> tuple[slice, slice, slice, slice]:
+    """Where each block sits in the recurrent cell's input: the pooled image
+    feature and the goal embedding (dim each), the graph feature (node_dim)
+    and the one-hot previous action, in that order."""
+    gra = 2 * dim + node_dim
+    return slice(0, dim), slice(dim, 2 * dim), slice(2 * dim, gra), slice(gra, gra + NUM_ACTIONS)
+
+
 def input_size(dim: int, node_dim: int) -> int:
-    # pooled image feature + goal embedding + graph feature + one-hot action
-    return 2 * dim + node_dim + NUM_ACTIONS
+    return input_layout(dim, node_dim)[3].stop
 
 
 def param_shapes(dim: int, node_dim: int, hidden: int = DEFAULT_HIDDEN) -> dict:
@@ -65,7 +71,7 @@ DONE_LOGIT_BIAS = -3.0
 
 
 def init_params(dim: int, node_dim: int, hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> Params:
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed & SEED_MASK)
     shapes = param_shapes(dim, node_dim, hidden)
 
     def mat(name, scale):
@@ -117,31 +123,6 @@ def normalize_adjacency(edges: np.ndarray) -> np.ndarray:
     return edges * dinv[:, None] * dinv[None, :]
 
 
-def gcn_forward(w1: np.ndarray, w2: np.ndarray, nodes: np.ndarray, ahat: np.ndarray):
-    """out = Ahat ReLU(Ahat X W1) W2; output keeps the (M, N) node shape."""
-    if nodes.shape[1] != w1.shape[0] or ahat.shape[0] != nodes.shape[0]:
-        raise UsageError("gcn_forward: inconsistent shapes")
-    ax = ahat @ nodes
-    z1 = ax @ w1
-    h1 = relu(z1)
-    ah = ahat @ h1
-    out = ah @ w2
-    cache = (ax, z1, ah, ahat)
-    return out, cache
-
-
-def gcn_backward(cache, dout: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    ax, z1, ah, ahat = cache
-    dw2 = ah.T @ dout
-    dah = dout @ w2.T
-    dh1 = ahat.T @ dah
-    dz1 = dh1 * (z1 > 0)
-    dw1 = ax.T @ dz1
-    dax = dz1 @ w1.T
-    dnodes = ahat.T @ dax
-    return dw1, dw2, dnodes
-
-
 def gcn_forward_seq(w1: np.ndarray, w2: np.ndarray, nodes_seq: np.ndarray, ahat: np.ndarray,
                     rows: np.ndarray):
     """Row `rows[t]` of gcn_forward(w1, w2, nodes_seq[t], ahat) for each of
@@ -152,7 +133,7 @@ def gcn_forward_seq(w1: np.ndarray, w2: np.ndarray, nodes_seq: np.ndarray, ahat:
     t_len, m, n = nodes_seq.shape
     ax = ahat @ nodes_seq
     z1 = (ax.reshape(t_len * m, n) @ w1).reshape(t_len, m, -1)
-    a_rows = ahat[rows]  # (T, M)
+    a_rows = ahat.take(rows, axis=0)  # (T, M); `take` gathers faster than indexing
     ah_rows = np.matmul(a_rows[:, None, :], relu(z1))[:, 0]
     out = ah_rows @ w2
     cache = (ax, z1, ah_rows, a_rows, ahat)
@@ -179,57 +160,44 @@ def gcn_backward_seq(cache, dout_rows: np.ndarray, w1: np.ndarray, w2: np.ndarra
 # Gated recurrent cell (input, forget, output gates + tanh candidate)
 
 
-def lstm_step(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
-              h: np.ndarray, c: np.ndarray):
-    """One step of the cell. The gates are computed in place in the fresh
-    pre-activation vector, with the operations and the order of sigmoid and
-    of `f * c + i * g`, so the result is bitwise theirs. The cache holds `x`
-    itself, not a copy: a caller that reuses its input buffer must not keep
-    the cache."""
-    hid = wh.shape[0]
-    z = x @ wx
-    z += h @ wh
-    z += b
-    gates = z[: 3 * hid]  # i | f | o: 1 / (1 + exp(-z)), elementwise in place
-    np.negative(gates, out=gates)
-    np.exp(gates, out=gates)
-    gates += 1.0
-    np.reciprocal(gates, out=gates)
-    i, f, o = gates[:hid], gates[hid : 2 * hid], gates[2 * hid :]
+def _cell(z: np.ndarray, c: np.ndarray):
+    """The gates of one step, computed in place in its pre-activation z (4H,):
+    1 / (1 + exp(-z)) over i | f | o and tanh over g, with sigmoid's
+    operations in their order, so the gates are bitwise sigmoid's. Returns
+    the gate views i, f, o, g, the next cell state f * c + i * g, its tanh
+    and the next hidden state."""
+    hid = c.shape[-1]
+    sig = z[: 3 * hid]
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    i, f, o = sig[:hid], sig[hid : 2 * hid], sig[2 * hid :]
     g = np.tanh(z[3 * hid :], out=z[3 * hid :])
     c2 = f * c
     c2 += i * g
     tc = np.tanh(c2)
-    h2 = o * tc
+    return i, f, o, g, c2, tc, o * tc
+
+
+def lstm_step(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
+              h: np.ndarray, c: np.ndarray):
+    """One step of the cell; _cell computes the gates in place in the fresh
+    pre-activation vector. The cache holds `x` itself, not a copy: a caller
+    that reuses its input buffer must not keep the cache."""
+    z = x @ wx
+    z += h @ wh
+    z += b
+    i, f, o, g, c2, tc, h2 = _cell(z, c)
     cache = (x, h, c, i, f, o, g, tc)
     return h2, c2, cache
-
-
-def lstm_backward(cache, dh2: np.ndarray, dc2: np.ndarray, wx: np.ndarray, wh: np.ndarray):
-    x, h, c, i, f, o, g, tc = cache
-    do = dh2 * tc
-    dc_total = dc2 + dh2 * o * (1.0 - tc * tc)
-    df = dc_total * c
-    dc_prev = dc_total * f
-    di = dc_total * g
-    dg = dc_total * i
-    dzi = di * i * (1.0 - i)
-    dzf = df * f * (1.0 - f)
-    dzo = do * o * (1.0 - o)
-    dzg = dg * (1.0 - g * g)
-    dz = np.concatenate([dzi, dzf, dzo, dzg])
-    dwx = np.outer(x, dz)
-    dwh = np.outer(h, dz)
-    db = dz
-    dx = wx @ dz
-    dh_prev = wh @ dz
-    return dwx, dwh, db, dx, dh_prev, dc_prev
 
 
 def lstm_forward_seq(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, xs: np.ndarray):
     """lstm_step over the rows of xs (T, F) from a zero state; returns the
     hidden states (T, H). The input projection xs @ wx is one GEMM, so only
-    h @ wh and the gates run step by step."""
+    h @ wh and the gates (_cell, in place in each step's row of the cached
+    gates) run step by step."""
     t_len = xs.shape[0]
     hid = wh.shape[0]
     zx = xs @ wx + b
@@ -238,13 +206,8 @@ def lstm_forward_seq(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, xs: np.ndarr
     cs = np.zeros((t_len + 1, hid))
     tcs = np.empty((t_len, hid))
     for t in range(t_len):
-        z = zx[t] + hs[t] @ wh
-        gate = gates[t]
-        gate[: 3 * hid] = sigmoid(z[: 3 * hid])
-        gate[3 * hid :] = np.tanh(z[3 * hid :])
-        cs[t + 1] = gate[hid : 2 * hid] * cs[t] + gate[:hid] * gate[3 * hid :]
-        tcs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = gate[2 * hid : 3 * hid] * tcs[t]
+        np.add(zx[t], hs[t] @ wh, out=gates[t])
+        *_, cs[t + 1], tcs[t], hs[t + 1] = _cell(gates[t], cs[t])
     cache = (xs, hs, cs, gates, tcs)
     return hs[1:], cache
 
@@ -290,15 +253,6 @@ def actor_critic(actor_w, actor_b, critic_w, critic_b, h: np.ndarray):
     return h @ actor_w + actor_b, h @ critic_w + critic_b
 
 
-def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray, dvalue: float):
-    dactor_w = np.outer(h, dlogits)
-    dactor_b = dlogits
-    dcritic_w = h * dvalue
-    dcritic_b = np.asarray(dvalue)
-    dh = actor_w @ dlogits + critic_w * dvalue
-    return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
-
-
 def actor_critic_backward_seq(actor_w, critic_w, hs: np.ndarray, dlogits: np.ndarray,
                               dvalues: np.ndarray):
     """Reverse of actor_critic on the rows of hs (T, H): weight gradients
@@ -335,7 +289,7 @@ def sample_action(rng: np.random.Generator, logits: np.ndarray) -> int:
 
 
 def greedy_action(logits: np.ndarray) -> int:
-    return int(np.argmax(logits))  # lowest index on ties
+    return int(logits.argmax())  # lowest index on ties, as np.argmax
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +333,70 @@ def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> N
         den += state.eps
         step /= den
         params[k] -= step
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels
+#
+# The per-step GCN and backward passes that the sequence kernels above
+# batch. No program path calls them: they are the references that the tests,
+# the finite-difference acceptance criterion and the per-step reference
+# update check the *_seq kernels and the A2C update against.
+
+
+def gcn_forward(w1: np.ndarray, w2: np.ndarray, nodes: np.ndarray, ahat: np.ndarray):
+    """out = Ahat ReLU(Ahat X W1) W2; output keeps the (M, N) node shape."""
+    if nodes.shape[1] != w1.shape[0] or ahat.shape[0] != nodes.shape[0]:
+        raise UsageError("gcn_forward: inconsistent shapes")
+    ax = ahat @ nodes
+    z1 = ax @ w1
+    h1 = relu(z1)
+    ah = ahat @ h1
+    out = ah @ w2
+    cache = (ax, z1, ah, ahat)
+    return out, cache
+
+
+def gcn_backward(cache, dout: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    ax, z1, ah, ahat = cache
+    dw2 = ah.T @ dout
+    dah = dout @ w2.T
+    dh1 = ahat.T @ dah
+    dz1 = dh1 * (z1 > 0)
+    dw1 = ax.T @ dz1
+    dax = dz1 @ w1.T
+    dnodes = ahat.T @ dax
+    return dw1, dw2, dnodes
+
+
+def lstm_backward(cache, dh2: np.ndarray, dc2: np.ndarray, wx: np.ndarray, wh: np.ndarray):
+    x, h, c, i, f, o, g, tc = cache
+    do = dh2 * tc
+    dc_total = dc2 + dh2 * o * (1.0 - tc * tc)
+    df = dc_total * c
+    dc_prev = dc_total * f
+    di = dc_total * g
+    dg = dc_total * i
+    dzi = di * i * (1.0 - i)
+    dzf = df * f * (1.0 - f)
+    dzo = do * o * (1.0 - o)
+    dzg = dg * (1.0 - g * g)
+    dz = np.concatenate([dzi, dzf, dzo, dzg])
+    dwx = np.outer(x, dz)
+    dwh = np.outer(h, dz)
+    db = dz
+    dx = wx @ dz
+    dh_prev = wh @ dz
+    return dwx, dwh, db, dx, dh_prev, dc_prev
+
+
+def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray, dvalue: float):
+    dactor_w = np.outer(h, dlogits)
+    dactor_b = dlogits
+    dcritic_w = h * dvalue
+    dcritic_b = np.asarray(dvalue)
+    dh = actor_w @ dlogits + critic_w * dvalue
+    return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ from .controller import GraphState, adapt_graph, graph_feature, locate_current_z
 from .embedding import EmbeddingProvider, observation_feature, pooled_image_feature
 from .errors import ConfigError, NonFiniteError, UsageError
 from .graph import KnowledgeGraph
-from .sim import Action, EpisodeState, NUM_ACTIONS, Scene, reset_episode, step, visible_objects
+from .sim import SEED_MASK, Action, EpisodeState, Scene, reset_episode, step, visible_objects
 
 MASKABLE = frozenset({"img", "obj", "gra", "act"})
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -79,13 +78,6 @@ class Trajectory:
         return sum(self.rewards.tolist())
 
 
-def one_hot_action(prev_action: int) -> np.ndarray:
-    act = np.zeros(NUM_ACTIONS)
-    if prev_action >= 0:
-        act[prev_action] = 1.0
-    return act
-
-
 def _check_mask(mask: frozenset) -> None:
     bad = mask - MASKABLE
     if bad:
@@ -93,18 +85,27 @@ def _check_mask(mask: frozenset) -> None:
 
 
 def compose_input(img: np.ndarray, goal_emb: np.ndarray, f_gra: np.ndarray,
-                  prev_action: int, mask: frozenset = frozenset()) -> np.ndarray:
-    """Concatenate [image | goal | graph | previous action]; masked components
-    are zeroed at composition (ablation hook)."""
+                  prev_action, mask: frozenset = frozenset()) -> np.ndarray:
+    """[image | goal | graph | one-hot previous action] laid out by
+    nn.input_layout, for one step, or for each row of (T, D) images and
+    (T, N) graph features with a (T,) array of previous actions; the goal is
+    shared. A previous action of -1 (none yet) leaves the action block zero,
+    and masked components are zeroed at composition (ablation hook)."""
     _check_mask(mask)
-    act = one_hot_action(prev_action)
-    parts = [
-        np.zeros_like(img) if "img" in mask else img,
-        np.zeros_like(goal_emb) if "obj" in mask else goal_emb,
-        np.zeros_like(f_gra) if "gra" in mask else f_gra,
-        np.zeros_like(act) if "act" in mask else act,
-    ]
-    return np.concatenate(parts)
+    prev = np.asarray(prev_action)
+    img_at, goal_at, gra_at, act_at = nn.input_layout(goal_emb.shape[0], f_gra.shape[-1])
+    x = np.zeros(prev.shape + (act_at.stop,))
+    if "img" not in mask:
+        x[..., img_at] = img
+    if "obj" not in mask:
+        x[..., goal_at] = goal_emb
+    if "gra" not in mask:
+        x[..., gra_at] = f_gra
+    if "act" not in mask:
+        prev = prev.reshape(-1)
+        took = np.flatnonzero(prev >= 0)
+        x.reshape(-1, act_at.stop)[took, act_at.start + prev[took]] = 1.0
+    return x
 
 
 def reward(event: str) -> float:
@@ -128,7 +129,7 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
         raise UsageError("rollout() on a terminated episode")
     _check_mask(mask)
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(int(rng) & _SEED_MASK)
+        rng = np.random.default_rng(int(rng) & SEED_MASK)
     gs = GraphState(graph, lam=float(nn.sigmoid(params["lambda_raw"])))
     goal_emb = provider.object_embedding(state.goal)
     z_target = target_zone(gs, goal_emb)
@@ -137,10 +138,9 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
     hidden = nn.hidden_size(params)
     h = np.zeros(hidden)
     c = np.zeros(hidden)
-    dim = goal_emb.shape[0]
-    x = np.zeros(nn.input_size(dim, graph.feature_dim))
-    x_img, x_goal = x[:dim], x[dim : 2 * dim]
-    x_gra, x_act = x[2 * dim : 2 * dim + graph.feature_dim], x[2 * dim + graph.feature_dim :]
+    layout = nn.input_layout(goal_emb.shape[0], graph.feature_dim)
+    x = np.zeros(layout[3].stop)
+    x_img, x_goal, x_gra, x_act = (x[part] for part in layout)
     use_img, use_gra, use_act = "img" not in mask, "gra" not in mask, "act" not in mask
     if "obj" not in mask:
         np.multiply(nn.CELL_INPUT_GAIN, goal_emb, out=x_goal)
@@ -215,9 +215,7 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
     w1, w2 = params["gcn_w1"], params["gcn_w2"]
     wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
     aw, ab, cw, cb = params["actor_w"], params["actor_b"], params["critic_w"], params["critic_b"]
-    dim = trajectories[0].goal_emb.shape[0]
-    gra = slice(2 * dim, 2 * dim + graph.feature_dim)
-    ahat = nn.normalize_adjacency(graph.edges)
+    gra = nn.input_layout(trajectories[0].goal_emb.shape[0], graph.feature_dim)[2]
     total_loss = 0.0
     policy_loss = value_loss = entropy_sum = 0.0
     dlam = 0.0
@@ -231,20 +229,17 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
         f_obs = traj.f_obs
 
         # nodes_seq[t] is the adapted graph the GCN sees at step t
+        gs = GraphState(graph, lam)
         nodes_seq = np.empty((t_len,) + graph.nodes.shape)
         old_rows = np.empty_like(f_obs)
-        adapted = graph.nodes
         for t, zone in enumerate(zones):
-            old_rows[t] = adapted[zone]
-            nodes_seq[t] = adapted
-            nodes_seq[t, zone] = lam * f_obs[t] + (1.0 - lam) * old_rows[t]
-            adapted = nodes_seq[t]
-        f_gra, gcache = nn.gcn_forward_seq(w1, w2, nodes_seq, ahat, traj.subgoals)
-        prev_actions = [-1] + actions[:-1].tolist()
-        xs = nn.CELL_INPUT_GAIN * np.array([
-            compose_input(traj.img[t], traj.goal_emb, f_gra[t], prev, traj.mask)
-            for t, prev in enumerate(prev_actions)
-        ])
+            old_rows[t] = gs.adapted[zone]
+            adapt_graph(gs, f_obs[t], zone)
+            nodes_seq[t] = gs.adapted
+        f_gra, gcache = nn.gcn_forward_seq(w1, w2, nodes_seq, gs.ahat, traj.subgoals)
+        prev_actions = np.concatenate(([-1], actions[:-1]))
+        xs = nn.CELL_INPUT_GAIN * compose_input(traj.img, traj.goal_emb, f_gra, prev_actions,
+                                                traj.mask)
         hs, lcache = nn.lstm_forward_seq(wx, wh, b, xs)
         logits, values = nn.actor_critic(aw, ab, cw, cb, hs)
 
@@ -338,7 +333,7 @@ class TrainResult:
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 0x5EED, episode]))
+    return np.random.default_rng(np.random.SeedSequence([seed & SEED_MASK, 0x5EED, episode]))
 
 
 def _allowed_goals_by_scene(scenes: list[Scene], allowed_goals) -> dict[str, list[str]]:

@@ -174,7 +174,7 @@ def check_adaptation_algebra() -> tuple[bool, str]:
         gs = GraphState(base, lam=lam)
         f_obs = np.array([0.0, 1.0])
         adapt_graph(gs, f_obs, 0)
-        expect = lam * f_obs + (1 - lam) * np.array([1.0, 0.0])
+        expect = np.array([1.0 - lam, lam])  # the blend of [1, 0] toward [0, 1]
         worst = max(worst, float(np.max(np.abs(gs.adapted[0] - expect))))
         worst = max(worst, float(np.max(np.abs(gs.adapted[1] - base.nodes[1]))))
     return worst < 1e-12, f"max dev {worst:.2e}"
@@ -232,7 +232,7 @@ def check_gradients() -> tuple[bool, str]:
     dw1, dw2, dnodes = nn.gcn_backward_seq(cache, proj, gp["w1"], gp["w2"])
     worst = max(worst, fd_check(gcn_loss, gp, {"w1": dw1, "w2": dw2, "nodes": dnodes}, rng))
 
-    f = 2 * d + n + 6
+    f = nn.input_size(d, n)
     lp = {
         "wx": rng.standard_normal((f, 4 * h)) * 0.3,
         "wh": rng.standard_normal((h, 4 * h)) * 0.3,

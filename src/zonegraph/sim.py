@@ -46,7 +46,7 @@ HEADING = {
 
 DEFAULT_T_MAX = 100
 
-_SEED_MASK = (1 << 64) - 1
+SEED_MASK = (1 << 64) - 1  # seeds enter numpy as unsigned 64-bit integers
 
 
 class Action(IntEnum):
@@ -80,7 +80,6 @@ class ObjectInstance:
 @dataclass(frozen=True)
 class Sighting:
     category: str
-    alpha: int
     bearing: float  # degrees relative to heading, |bearing| <= HALF_FOV
     distance: float  # meters, <= VIS_RANGE
 
@@ -88,7 +87,6 @@ class Sighting:
 @dataclass(frozen=True)
 class Observation:
     visible: tuple[Sighting, ...]
-    pose: Pose
 
 
 @dataclass
@@ -188,8 +186,8 @@ def visible_objects(scene: Scene, pose: Pose) -> Observation:
             bearing = (ang - pose.yaw + 180.0) % 360.0 - 180.0
             if abs(bearing) > HALF_FOV + EPS:
                 continue
-        seen.append(Sighting(category, 1, bearing, distance))
-    return Observation(visible=tuple(seen), pose=pose)
+        seen.append(Sighting(category, bearing, distance))
+    return Observation(visible=tuple(seen))
 
 
 def goal_visible(scene: Scene, pose: Pose, goal: str) -> bool:
@@ -248,7 +246,7 @@ def reset_episode(scene: Scene, goal: str, seed: int, t_max: int = DEFAULT_T_MAX
     """Uniform start over reachable cells x 8 yaws, pitch level."""
     if goal not in scene.categories_present():
         raise ConfigError(f"goal {goal!r} not present in scene {scene.id!r}")
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed & SEED_MASK)
     cells = scene.reachable_cells()
     if not cells:
         raise ConfigError(f"scene {scene.id!r} has no reachable cells")
@@ -407,7 +405,7 @@ def generate_scene(room_category: str, size: tuple[int, int], seed: int) -> Scen
     if width < 4 or depth < 4:
         raise GenerationError(f"scene size {width}x{depth} too small to host 4 goal objects")
     templates = _load_templates()[room_category]
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed & SEED_MASK)
     min_free = max(4, (width * depth) // 2)
 
     for _ in range(32):  # rare geometric dead ends: redraw

@@ -39,6 +39,27 @@ def lstm_step_split(wx, wh, b, x, h, c):
     return h2, c2, (x, h, c, i, f, o, g, tc)
 
 
+def lstm_forward_seq_loop(wx, wh, b, xs):
+    """The sequence forward as a step loop with one sigmoid call over the
+    i | f | o gates: the formula nn.lstm_forward_seq must reproduce bitwise,
+    cache included."""
+    t_len, hid = xs.shape[0], wh.shape[0]
+    zx = xs @ wx + b
+    gates = np.empty((t_len, 4 * hid))
+    hs = np.zeros((t_len + 1, hid))
+    cs = np.zeros((t_len + 1, hid))
+    tcs = np.empty((t_len, hid))
+    for t in range(t_len):
+        z = zx[t] + hs[t] @ wh
+        gate = gates[t]
+        gate[: 3 * hid] = nn.sigmoid(z[: 3 * hid])
+        gate[3 * hid :] = np.tanh(z[3 * hid :])
+        cs[t + 1] = gate[hid : 2 * hid] * cs[t] + gate[:hid] * gate[3 * hid :]
+        tcs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = gate[2 * hid : 3 * hid] * tcs[t]
+    return hs[1:], (xs, hs, cs, gates, tcs)
+
+
 @pytest.fixture(scope="session")
 def provider():
     return EmbeddingProvider.synthetic(dim=64, seed=0)

@@ -23,7 +23,7 @@ FROZEN_MAX_ABS_COS = 0.3677472736682733
 
 
 def obs(*sightings):
-    return Observation(visible=tuple(sightings), pose=Pose(0.0, 0.0, 0, 0))
+    return Observation(visible=tuple(sightings))
 
 
 class TestObjectEmbedding:
@@ -72,7 +72,7 @@ class TestImageFeature:
         assert np.all(grid == 0.0)
 
     def test_center_cell_binning(self, provider):
-        grid = image_feature(provider, obs(Sighting("Sink", 1, 0.0, 0.75)))
+        grid = image_feature(provider, obs(Sighting("Sink", 0.0, 0.75)))
         np.testing.assert_allclose(grid[3, 3], provider.object_embedding("Sink"), atol=0)
         occupied = np.argwhere(np.any(grid != 0, axis=2))
         assert occupied.tolist() == [[3, 3]]
@@ -86,7 +86,7 @@ class TestImageFeature:
         for _ in range(300):
             bearing = float(rng.uniform(-45, 45))
             dist = float(rng.uniform(0, 1.5))
-            grid = image_feature(provider, obs(Sighting("Sink", 1, bearing, dist)))
+            grid = image_feature(provider, obs(Sighting("Sink", bearing, dist)))
             occupied = np.argwhere(np.any(grid != 0, axis=2))
             assert len(occupied) == 1
             row, col = occupied[0]
@@ -94,13 +94,13 @@ class TestImageFeature:
             assert row == int(np.digitize(dist, dist_edges))
 
     def test_identical_objects_in_one_cell_idempotent(self, provider):
-        s = Sighting("Sink", 1, 0.0, 0.75)
+        s = Sighting("Sink", 0.0, 0.75)
         grid = image_feature(provider, obs(s, s))
         np.testing.assert_array_equal(grid[3, 3], provider.object_embedding("Sink"))
 
     def test_mixed_cell_mean_renormalized(self, provider):
-        a = Sighting("Sink", 1, 0.0, 0.75)
-        b = Sighting("Pan", 1, 0.0, 0.75)
+        a = Sighting("Sink", 0.0, 0.75)
+        b = Sighting("Pan", 0.0, 0.75)
         grid = image_feature(provider, obs(a, b))
         mean = (provider.object_embedding("Sink") + provider.object_embedding("Pan")) / 2
         np.testing.assert_allclose(grid[3, 3], mean / np.linalg.norm(mean), atol=1e-12)
@@ -109,7 +109,7 @@ class TestImageFeature:
     def test_permutation_invariance(self, provider):
         rng = np.random.default_rng(3)
         sightings = [
-            Sighting(cat, 1, float(rng.uniform(-45, 45)), float(rng.uniform(0, 1.5)))
+            Sighting(cat, float(rng.uniform(-45, 45)), float(rng.uniform(0, 1.5)))
             for cat in ("Sink", "Pan", "Pot", "Bowl", "Plate")
         ]
         base = image_feature(provider, obs(*sightings))
@@ -119,7 +119,7 @@ class TestImageFeature:
 
     def test_alignment_by_construction(self, provider):
         # a cell fed by a single category has cosine exactly 1 with f_obj
-        grid = image_feature(provider, obs(Sighting("Kettle", 1, -30.0, 1.2)))
+        grid = image_feature(provider, obs(Sighting("Kettle", -30.0, 1.2)))
         cell = grid[np.any(grid != 0, axis=2)][0]
         emb = provider.object_embedding("Kettle")
         cos = float(cell @ emb / (np.linalg.norm(cell) * np.linalg.norm(emb)))
@@ -141,16 +141,16 @@ class TestPooledImageFeature:
         assert np.all(pooled_image_feature(provider, obs()) == 0.0)
 
     def test_several_objects_in_one_cell(self, provider):
-        cell = [Sighting(c, 1, 3.0, 0.8) for c in ("Sink", "Pan", "Pot", "Sink")]
-        other = Sighting("Bowl", 1, -40.0, 0.1)
+        cell = [Sighting(c, 3.0, 0.8) for c in ("Sink", "Pan", "Pot", "Sink")]
+        other = Sighting("Bowl", -40.0, 0.1)
         self._same(provider, obs(*cell))
         self._same(provider, obs(other, *cell))
         self._same(provider, obs(*cell, other))
 
     def test_bins_clamped_at_both_edges(self, provider):
-        edges = [Sighting("Sink", 1, -45.0, 0.0), Sighting("Pan", 1, 45.0, 1.5),
-                 Sighting("Pot", 1, -45.0000001, 1.5000001), Sighting("Bowl", 1, 45.0000001, 0.0),
-                 Sighting("Kettle", 1, -50.0, -0.2), Sighting("Plate", 1, 50.0, 2.0)]
+        edges = [Sighting("Sink", -45.0, 0.0), Sighting("Pan", 45.0, 1.5),
+                 Sighting("Pot", -45.0000001, 1.5000001), Sighting("Bowl", 45.0000001, 0.0),
+                 Sighting("Kettle", -50.0, -0.2), Sighting("Plate", 50.0, 2.0)]
         for s in edges:
             self._same(provider, obs(s))
         self._same(provider, obs(*edges))
@@ -168,7 +168,7 @@ class TestPooledImageFeature:
         cats = ("Sink", "Pan", "Pot", "Bowl", "Plate", "Kettle")
         for _ in range(300):
             k = int(rng.integers(0, 9))
-            view = obs(*(Sighting(cats[int(rng.integers(len(cats)))], 1,
+            view = obs(*(Sighting(cats[int(rng.integers(len(cats)))],
                                   float(rng.uniform(-46, 46)), float(rng.uniform(0, 1.51)))
                          for _ in range(k)))
             self._same(provider, view, grid=grid)
@@ -186,9 +186,9 @@ class TestPooledImageFeature:
 
 class TestObservationFeature:
     def test_mean_of_goal_detections(self, provider):
-        a = Sighting("Sink", 1, 0.0, 0.5)
-        b = Sighting("Pan", 1, 10.0, 1.0)
-        c = Sighting("NotAGoal", 1, -10.0, 1.0)
+        a = Sighting("Sink", 0.0, 0.5)
+        b = Sighting("Pan", 10.0, 1.0)
+        c = Sighting("NotAGoal", -10.0, 1.0)
         f = observation_feature(provider, obs(a, b, c))
         expect = (provider.object_embedding("Sink") + provider.object_embedding("Pan")) / 2
         np.testing.assert_allclose(f, expect, atol=1e-15)

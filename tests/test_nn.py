@@ -5,7 +5,7 @@ import zonegraph.nn as nn
 from zonegraph.errors import FormatError, NonFiniteError
 from zonegraph.selfcheck import random_edge_matrix
 
-from conftest import lstm_step_split
+from conftest import lstm_forward_seq_loop, lstm_step_split
 
 
 class TestNormalizeAdjacency:
@@ -183,6 +183,60 @@ class TestLstm:
                 want = lstm_step_split(wx, wh, b, x_in, h, c)
             for a, w in zip(got[:2] + got[2], want[:2] + want[2]):
                 assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+    @staticmethod
+    def _same_bits(got, want):
+        (hs, cache), (ref_hs, ref_cache) = got, want
+        assert len(cache) == len(ref_cache)
+        for a, w in zip((hs,) + cache, (ref_hs,) + ref_cache):
+            assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("hidden", [1, 5, 128])
+    def test_sequence_bitwise_the_step_loop(self, hidden):
+        rng = np.random.default_rng(100 + hidden)
+        f = 2 * 64 + 64 + 6
+        for scale in (0.1, 1.0, 30.0):
+            for t_len in (1, 2, 37):
+                wx = rng.normal(size=(f, 4 * hidden)) * scale / np.sqrt(f)
+                wh = rng.normal(size=(hidden, 4 * hidden)) * scale / np.sqrt(hidden)
+                b = rng.normal(size=4 * hidden) * scale
+                xs = rng.normal(size=(t_len, f))
+                self._same_bits(nn.lstm_forward_seq(wx, wh, b, xs),
+                                lstm_forward_seq_loop(wx, wh, b, xs))
+
+    def test_sequence_bitwise_the_step_loop_at_extremes(self):
+        # rows whose pre-activations overflow exp, and a NaN that enters at
+        # step 2 and reaches every later state through the recurrence
+        f, hidden, t_len = 10, 7, 6
+        rng = np.random.default_rng(3)
+        wx = np.zeros((f, 4 * hidden))
+        wx[0] = rng.choice([-800.0, 800.0], size=4 * hidden)
+        wh = rng.normal(size=(hidden, 4 * hidden))
+        b = rng.normal(size=4 * hidden)
+        xs = rng.normal(size=(t_len, f))
+        xs[::2, 0] = 1.0
+        xs[1::2, 0] = -1.0
+        for nan_row in (None, 2):
+            if nan_row is not None:
+                xs[nan_row, 3] = np.nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._same_bits(nn.lstm_forward_seq(wx, wh, b, xs),
+                                lstm_forward_seq_loop(wx, wh, b, xs))
+
+
+class TestGreedyAction:
+    def test_argmax_lowest_index_on_ties_and_nan(self):
+        rng = np.random.default_rng(15)
+        cases = [rng.normal(size=nn.NUM_ACTIONS) * 5 for _ in range(500)]
+        cases += [rng.choice([-1.0, 0.0, 2.0], size=nn.NUM_ACTIONS) for _ in range(500)]
+        cases += [np.zeros(nn.NUM_ACTIONS), np.full(nn.NUM_ACTIONS, -np.inf)]
+        for k in range(nn.NUM_ACTIONS):
+            nan = rng.normal(size=nn.NUM_ACTIONS)
+            nan[k] = np.nan
+            cases.append(nan)
+        for logits in cases:
+            got = nn.greedy_action(logits)
+            assert type(got) is int and got == int(np.argmax(logits))
 
 
 class TestSampleAction:

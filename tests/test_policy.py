@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from zonegraph.policy import (
     a2c_update,
     compose_input,
     compute_returns,
-    one_hot_action,
     reward,
     rollout,
     train,
@@ -216,11 +216,16 @@ class TestComposeInput:
         spatial[2, 5] = v
         np.testing.assert_allclose(pool_spatial(spatial), v / 49, atol=1e-15)
 
+    @staticmethod
+    def _action_block(prev_action):
+        x = compose_input(np.full(3, 1.0), np.full(3, 2.0), np.full(4, 3.0), prev_action)
+        return x[nn.input_layout(3, 4)[3]]
+
     def test_one_hot_done(self):
-        np.testing.assert_array_equal(one_hot_action(5), [0, 0, 0, 0, 0, 1])
+        np.testing.assert_array_equal(self._action_block(5), [0, 0, 0, 0, 0, 1])
 
     def test_first_step_all_zero_action(self):
-        assert np.all(one_hot_action(-1) == 0.0)
+        assert np.all(self._action_block(-1) == 0.0)
 
     def test_layout_and_length(self):
         img = np.full(3, 1.0)
@@ -246,6 +251,28 @@ class TestComposeInput:
     def test_unknown_mask_rejected(self):
         with pytest.raises(ConfigError):
             compose_input(np.zeros(2), np.zeros(2), np.zeros(2), 0, mask=frozenset({"bogus"}))
+        with pytest.raises(ConfigError):
+            compose_input(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.array([-1, 0]),
+                          mask=frozenset({"bogus"}))
+
+    @pytest.mark.parametrize("mask", [frozenset(m) for k in range(5)
+                                      for m in itertools.combinations(sorted(policy.MASKABLE), k)])
+    def test_rows_are_the_stack_of_step_calls(self, mask):
+        rng = np.random.default_rng(len(mask))
+        t_len, d, n = 9, 5, 4
+        img, f_gra = rng.normal(size=(t_len, d)), rng.normal(size=(t_len, n))
+        goal = rng.normal(size=d)
+        img[3] = -0.0  # signed zeros keep their sign through composition
+        prev = np.concatenate(([-1], rng.integers(nn.NUM_ACTIONS, size=t_len - 1)))
+        prev[5] = -1  # no previous action on a later row as well
+        got = compose_input(img, goal, f_gra, prev, mask)
+        want = np.array([compose_input(img[t], goal, f_gra[t], int(prev[t]), mask)
+                         for t in range(t_len)])
+        assert got.shape == want.shape == (t_len, nn.input_size(d, n))
+        assert got.tobytes() == want.tobytes()
+        if "act" not in mask:
+            assert got[:, nn.input_layout(d, n)[3]].sum(axis=1).tolist() == [
+                0.0 if a < 0 else 1.0 for a in prev]
 
 
 class TestReward:

@@ -97,8 +97,8 @@ def _visible_objects_reference(scene, pose):
             bearing = _bearing(dx, dz, pose.yaw)
             if abs(bearing) > HALF_FOV + EPS:
                 continue
-        seen.append(Sighting(obj.category, 1, bearing, math.sqrt(d2)))
-    return Observation(visible=tuple(seen), pose=pose)
+        seen.append(Sighting(obj.category, bearing, math.sqrt(d2)))
+    return Observation(visible=tuple(seen))
 
 
 class TestGeneration:
@@ -144,7 +144,7 @@ class TestVisibility:
         obs = visible_objects(scene, Pose(1.0, 2.0, 0, 0))
         assert [s.category for s in obs.visible] == ["Sink"]
         s = obs.visible[0]
-        assert s.alpha == 1 and s.distance == pytest.approx(1.0) and s.bearing == pytest.approx(0.0)
+        assert s.distance == pytest.approx(1.0) and s.bearing == pytest.approx(0.0)
 
     def test_object_two_meters_not_visible(self):
         scene = make_scene(10, 10, [("Sink", 2, 8, "mid")])
@@ -196,7 +196,7 @@ class TestVisibilityMemo:
         for yaw in YAWS:
             got = visible_objects(scene, Pose(1.0, 1.0, yaw, 0))
             assert got == _visible_objects_reference(scene, Pose(1.0, 1.0, yaw, 0))
-            assert got.visible[0] == Sighting("Sink", 1, 0.0, 0.0)
+            assert got.visible[0] == Sighting("Sink", 0.0, 0.0)
 
     def test_warm_memo_leaves_repr_and_text(self):
         scene = generate_scene("kitchen", (8, 8), 3)
