@@ -251,7 +251,7 @@ def cmd_train(args) -> int:
     if args.workers is not None:
         cfg.train.workers = args.workers
     if args.split is not None:
-        cfg.split = args.split.replace("-", "_")
+        cfg.split = args.split
 
     scenes = _load_scene_dir(args.scenes)
     graph = load_graph(args.graph)
@@ -266,6 +266,7 @@ def cmd_train(args) -> int:
             f"embedding dim {provider.dim} != graph feature length {graph.feature_dim}"
         )
     split = split_by_name(cfg.split)
+    cfg.split = split.tag  # one spelling in the checkpoint meta
     log_path = Path(str(args.out) + ".log")
 
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -342,7 +343,7 @@ def cmd_eval(args) -> int:
     bad = mask - MASKABLE
     if bad:
         raise UsageError(f"unknown --mask component(s): {sorted(bad)}")
-    split = split_by_name(args.split.replace("-", "_"))
+    split = split_by_name(args.split)
     episode_lines: list[str] = []
 
     def sink(seed, rec):

@@ -13,7 +13,7 @@ from .embedding import EmbeddingProvider
 from .errors import ConfigError, UsageError
 from .graph import KnowledgeGraph
 from .policy import rollout
-from .sim import (NUM_ACTIONS, SEED_MASK, Action, EpisodeState, Scene, reset_episode,
+from .sim import (NUM_ACTIONS, SEED_MASK, EpisodeState, Scene, reset_episode,
                   shortest_path_length, step)
 
 
@@ -114,7 +114,7 @@ def mean_dts(records: list[EpisodeRecord]) -> float:
 def random_rollout(state: EpisodeState, rng: np.random.Generator) -> None:
     """Uniform-action baseline policy."""
     while not state.terminated:
-        step(state, Action(int(rng.integers(NUM_ACTIONS))))
+        step(state, int(rng.integers(NUM_ACTIONS)))
 
 
 def run_eval_episode(scene: Scene, goal: str, reset_seed: int, params, graph, provider,

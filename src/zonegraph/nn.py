@@ -1,8 +1,12 @@
 """Minimal differentiable numerics: GCN, gated recurrent cell, actor-critic
 heads, hand-derived reverse-mode gradients, and the Adam update.
 
-Everything is float64 and deterministic; every backward pass is covered by a
-central finite-difference test.
+Everything is float64 and deterministic. Every kernel here runs on a program
+path: the forward and backward passes work on a whole trajectory, and the
+rollout runs the GCN as a one-step sequence and the cell one step at a time.
+Each backward pass is covered by a central finite-difference test; the
+per-step kernels that the sequence kernels batch live in the tests, as
+oracles.
 """
 
 from __future__ import annotations
@@ -125,8 +129,9 @@ def normalize_adjacency(edges: np.ndarray) -> np.ndarray:
 
 def gcn_forward_seq(w1: np.ndarray, w2: np.ndarray, nodes_seq: np.ndarray, ahat: np.ndarray,
                     rows: np.ndarray):
-    """Row `rows[t]` of gcn_forward(w1, w2, nodes_seq[t], ahat) for each of
-    the T stacked (M, N) node matrices, as broadcast matmuls: (T, N)."""
+    """Row `rows[t]` of the two-layer GCN Ahat ReLU(Ahat X W1) W2 on each of
+    the T stacked (M, N) node matrices X = nodes_seq[t], as broadcast
+    matmuls: (T, N)."""
     if nodes_seq.ndim != 3 or nodes_seq.shape[2] != w1.shape[0] \
             or ahat.shape[0] != nodes_seq.shape[1] or len(rows) != nodes_seq.shape[0]:
         raise UsageError("gcn_forward_seq: inconsistent shapes")
@@ -163,9 +168,9 @@ def gcn_backward_seq(cache, dout_rows: np.ndarray, w1: np.ndarray, w2: np.ndarra
 def _cell(z: np.ndarray, c: np.ndarray):
     """The gates of one step, computed in place in its pre-activation z (4H,):
     1 / (1 + exp(-z)) over i | f | o and tanh over g, with sigmoid's
-    operations in their order, so the gates are bitwise sigmoid's. Returns
-    the gate views i, f, o, g, the next cell state f * c + i * g, its tanh
-    and the next hidden state."""
+    operations in their order, so the gates are bitwise sigmoid's and stay
+    in z. Returns the next cell state f * c + i * g, its tanh and the next
+    hidden state."""
     hid = c.shape[-1]
     sig = z[: 3 * hid]
     np.negative(sig, out=sig)
@@ -177,20 +182,19 @@ def _cell(z: np.ndarray, c: np.ndarray):
     c2 = f * c
     c2 += i * g
     tc = np.tanh(c2)
-    return i, f, o, g, c2, tc, o * tc
+    return c2, tc, o * tc
 
 
 def lstm_step(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
               h: np.ndarray, c: np.ndarray):
-    """One step of the cell; _cell computes the gates in place in the fresh
-    pre-activation vector. The cache holds `x` itself, not a copy: a caller
-    that reuses its input buffer must not keep the cache."""
+    """One step of the cell, as the rollout runs it: returns the next hidden
+    and cell states. _cell computes the gates in place in the fresh
+    pre-activation vector."""
     z = x @ wx
     z += h @ wh
     z += b
-    i, f, o, g, c2, tc, h2 = _cell(z, c)
-    cache = (x, h, c, i, f, o, g, tc)
-    return h2, c2, cache
+    c2, _, h2 = _cell(z, c)
+    return h2, c2
 
 
 def lstm_forward_seq(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, xs: np.ndarray):
@@ -207,7 +211,7 @@ def lstm_forward_seq(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, xs: np.ndarr
     tcs = np.empty((t_len, hid))
     for t in range(t_len):
         np.add(zx[t], hs[t] @ wh, out=gates[t])
-        *_, cs[t + 1], tcs[t], hs[t + 1] = _cell(gates[t], cs[t])
+        cs[t + 1], tcs[t], hs[t + 1] = _cell(gates[t], cs[t])
     cache = (xs, hs, cs, gates, tcs)
     return hs[1:], cache
 
@@ -333,70 +337,6 @@ def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> N
         den += state.eps
         step /= den
         params[k] -= step
-
-
-# ---------------------------------------------------------------------------
-# Reference kernels
-#
-# The per-step GCN and backward passes that the sequence kernels above
-# batch. No program path calls them: they are the references that the tests,
-# the finite-difference acceptance criterion and the per-step reference
-# update check the *_seq kernels and the A2C update against.
-
-
-def gcn_forward(w1: np.ndarray, w2: np.ndarray, nodes: np.ndarray, ahat: np.ndarray):
-    """out = Ahat ReLU(Ahat X W1) W2; output keeps the (M, N) node shape."""
-    if nodes.shape[1] != w1.shape[0] or ahat.shape[0] != nodes.shape[0]:
-        raise UsageError("gcn_forward: inconsistent shapes")
-    ax = ahat @ nodes
-    z1 = ax @ w1
-    h1 = relu(z1)
-    ah = ahat @ h1
-    out = ah @ w2
-    cache = (ax, z1, ah, ahat)
-    return out, cache
-
-
-def gcn_backward(cache, dout: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    ax, z1, ah, ahat = cache
-    dw2 = ah.T @ dout
-    dah = dout @ w2.T
-    dh1 = ahat.T @ dah
-    dz1 = dh1 * (z1 > 0)
-    dw1 = ax.T @ dz1
-    dax = dz1 @ w1.T
-    dnodes = ahat.T @ dax
-    return dw1, dw2, dnodes
-
-
-def lstm_backward(cache, dh2: np.ndarray, dc2: np.ndarray, wx: np.ndarray, wh: np.ndarray):
-    x, h, c, i, f, o, g, tc = cache
-    do = dh2 * tc
-    dc_total = dc2 + dh2 * o * (1.0 - tc * tc)
-    df = dc_total * c
-    dc_prev = dc_total * f
-    di = dc_total * g
-    dg = dc_total * i
-    dzi = di * i * (1.0 - i)
-    dzf = df * f * (1.0 - f)
-    dzo = do * o * (1.0 - o)
-    dzg = dg * (1.0 - g * g)
-    dz = np.concatenate([dzi, dzf, dzo, dzg])
-    dwx = np.outer(x, dz)
-    dwh = np.outer(h, dz)
-    db = dz
-    dx = wx @ dz
-    dh_prev = wh @ dz
-    return dwx, dwh, db, dx, dh_prev, dc_prev
-
-
-def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray, dvalue: float):
-    dactor_w = np.outer(h, dlogits)
-    dactor_b = dlogits
-    dcritic_w = h * dvalue
-    dcritic_b = np.asarray(dvalue)
-    dh = actor_w @ dlogits + critic_w * dvalue
-    return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
 
 
 # ---------------------------------------------------------------------------

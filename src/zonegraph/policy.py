@@ -22,7 +22,7 @@ from .controller import GraphState, adapt_graph, graph_feature, locate_current_z
 from .embedding import EmbeddingProvider, observation_feature, pooled_image_feature
 from .errors import ConfigError, NonFiniteError, UsageError
 from .graph import KnowledgeGraph
-from .sim import SEED_MASK, Action, EpisodeState, Scene, reset_episode, step, visible_objects
+from .sim import SEED_MASK, EpisodeState, Scene, reset_episode, step, visible_objects
 
 MASKABLE = frozenset({"img", "obj", "gra", "act"})
 
@@ -164,13 +164,13 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
             x_img[:] = cell_img
         if use_gra:
             np.multiply(nn.CELL_INPUT_GAIN, f_gra, out=x_gra)
-        h, c, _ = nn.lstm_step(wx, wh, b, x, h, c)
+        h, c = nn.lstm_step(wx, wh, b, x, h, c)
         logits = h @ actor_w + actor_b
         if greedy:
             action = nn.greedy_action(logits)
         else:
             action = nn.sample_action(rng, logits)
-        event = step(state, Action(action))
+        event = step(state, action)
         records.append((img, f_obs, zone, subgoal, action, reward(event)))
         if use_act:  # the next step's one-hot previous action
             x_act.fill(0.0)

@@ -88,11 +88,14 @@ FD_STEPS = tuple(10.0 ** (-k / 2.0) for k in range(4, 13))
 
 def fd_derivative(loss_fn, flat: np.ndarray, idx: int) -> float:
     """Central-difference derivative of `loss_fn()` along `flat[idx]`, with
-    the step chosen per probe: the estimate is kept where two neighbouring
-    steps of `FD_STEPS` agree best. `flat` is perturbed in place and
-    restored."""
+    the step chosen per probe. Each pair of neighbouring steps of `FD_STEPS`
+    scores the larger of its two estimates' gap and the round-off that
+    either estimate carries, eps * (|L+| + |L-|) / (2 delta): two estimates
+    can agree to far below their round-off and still both be wrong by it.
+    The estimate of the best pair's smaller step is kept. `flat` is
+    perturbed in place and restored."""
     orig = flat[idx]
-    estimates = []
+    estimates, roundoff = [], []
     for delta in FD_STEPS:
         flat[idx] = orig + delta
         lp = loss_fn()
@@ -100,8 +103,10 @@ def fd_derivative(loss_fn, flat: np.ndarray, idx: int) -> float:
         lm = loss_fn()
         flat[idx] = orig
         estimates.append((lp - lm) / (2 * delta))
-    gaps = [abs(a - b) for a, b in zip(estimates, estimates[1:])]
-    return estimates[int(np.argmin(gaps))]
+        roundoff.append(np.finfo(float).eps * (abs(lp) + abs(lm)) / (2 * delta))
+    scores = [max(abs(estimates[k] - estimates[k + 1]), roundoff[k], roundoff[k + 1])
+              for k in range(len(FD_STEPS) - 1)]
+    return estimates[int(np.argmin(scores)) + 1]
 
 
 def fd_probe(loss_fn, arr: np.ndarray, grad, rng: np.random.Generator, probes: int) -> float:

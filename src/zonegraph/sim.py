@@ -194,8 +194,9 @@ def goal_visible(scene: Scene, pose: Pose, goal: str) -> bool:
     return any(s.category == goal for s in visible_objects(scene, pose).visible)
 
 
-def step(state: EpisodeState, action: Action) -> str:
-    """Advance one action and return its event tag.
+def step(state: EpisodeState, action: int) -> str:
+    """Advance one action, an Action or its integer value, and return its
+    event tag. Any other value raises ValueError.
 
     Events: moved, blocked, rotated, looked, clamped, success, failed_done,
     timeout. Done evaluated before the step cap, so a successful Done on the

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 import zonegraph.nn as nn
 from zonegraph.embedding import EmbeddingProvider
+from zonegraph.errors import UsageError
 from zonegraph.sim import CELL, ObjectInstance, Scene
 
 # property tests draw the same examples on every run and stay short
@@ -24,9 +25,40 @@ def make_scene(width, depth, objects, blocked=(), room="kitchen", sid="test", se
                  reachable=reach, objects=objs, seed=seed)
 
 
+# ---------------------------------------------------------------------------
+# Per-step reference kernels, which no program path runs: the oracles that
+# the sequence kernels of nn and the batched A2C update are checked against.
+
+
+def gcn_forward(w1: np.ndarray, w2: np.ndarray, nodes: np.ndarray, ahat: np.ndarray):
+    """out = Ahat ReLU(Ahat X W1) W2; output keeps the (M, N) node shape."""
+    if nodes.shape[1] != w1.shape[0] or ahat.shape[0] != nodes.shape[0]:
+        raise UsageError("gcn_forward: inconsistent shapes")
+    ax = ahat @ nodes
+    z1 = ax @ w1
+    h1 = nn.relu(z1)
+    ah = ahat @ h1
+    out = ah @ w2
+    cache = (ax, z1, ah, ahat)
+    return out, cache
+
+
+def gcn_backward(cache, dout: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    ax, z1, ah, ahat = cache
+    dw2 = ah.T @ dout
+    dah = dout @ w2.T
+    dh1 = ahat.T @ dah
+    dz1 = dh1 * (z1 > 0)
+    dw1 = ax.T @ dz1
+    dax = dz1 @ w1.T
+    dnodes = ahat.T @ dax
+    return dw1, dw2, dnodes
+
+
 def lstm_step_split(wx, wh, b, x, h, c):
     """The recurrent cell through np.split, one activation call per gate:
-    the formula nn.lstm_step must reproduce bitwise, cache included."""
+    the formula nn.lstm_step must reproduce bitwise. Its third output is the
+    step's cache for lstm_backward."""
     z = x @ wx + h @ wh + b
     zi, zf, zo, zg = np.split(z, 4)
     i = nn.sigmoid(zi)
@@ -37,6 +69,36 @@ def lstm_step_split(wx, wh, b, x, h, c):
     tc = np.tanh(c2)
     h2 = o * tc
     return h2, c2, (x, h, c, i, f, o, g, tc)
+
+
+def lstm_backward(cache, dh2: np.ndarray, dc2: np.ndarray, wx: np.ndarray, wh: np.ndarray):
+    x, h, c, i, f, o, g, tc = cache
+    do = dh2 * tc
+    dc_total = dc2 + dh2 * o * (1.0 - tc * tc)
+    df = dc_total * c
+    dc_prev = dc_total * f
+    di = dc_total * g
+    dg = dc_total * i
+    dzi = di * i * (1.0 - i)
+    dzf = df * f * (1.0 - f)
+    dzo = do * o * (1.0 - o)
+    dzg = dg * (1.0 - g * g)
+    dz = np.concatenate([dzi, dzf, dzo, dzg])
+    dwx = np.outer(x, dz)
+    dwh = np.outer(h, dz)
+    db = dz
+    dx = wx @ dz
+    dh_prev = wh @ dz
+    return dwx, dwh, db, dx, dh_prev, dc_prev
+
+
+def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray, dvalue: float):
+    dactor_w = np.outer(h, dlogits)
+    dactor_b = dlogits
+    dcritic_w = h * dvalue
+    dcritic_b = np.asarray(dvalue)
+    dh = actor_w @ dlogits + critic_w * dvalue
+    return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
 
 
 def lstm_forward_seq_loop(wx, wh, b, xs):

@@ -31,7 +31,8 @@ from zonegraph.graph import (
 )
 from zonegraph.metrics import GoalSplit, evaluate, report_summary_line, zero_shot_split
 from zonegraph.policy import TrainConfig, a2c_loss_and_grads, train
-from zonegraph.selfcheck import enumerate_max_product, fd_probe, random_edge_matrix, random_trajectory
+from zonegraph.selfcheck import (_rel_err, enumerate_max_product, fd_derivative, fd_probe,
+                                 random_edge_matrix, random_trajectory)
 from zonegraph.sim import (
     CELL,
     PITCHES,
@@ -359,62 +360,81 @@ def _a2c_case(rng):
     return params, grads, aloss
 
 
+def _gcn_case(rng):
+    """The sequence GCN on T in [2, 5) random graphs with random selected
+    rows, under a random projection of its (T, N) output: the loss and
+    (array, gradient) by name."""
+    t_len = int(rng.integers(2, 5))
+    m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    w1, w2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    nodes = rng.standard_normal((t_len, m, n))
+    ahat = nn.normalize_adjacency(random_edge_matrix(rng, m))
+    rows = rng.integers(m, size=t_len)
+    proj = rng.standard_normal((t_len, n))
+    _, cache = nn.gcn_forward_seq(w1, w2, nodes, ahat, rows)
+    dw1, dw2, dnodes = nn.gcn_backward_seq(cache, proj, w1, w2)
+
+    def loss():
+        out, _ = nn.gcn_forward_seq(w1, w2, nodes, ahat, rows)
+        return float((out * proj).sum())
+
+    return loss, {"w1": (w1, dw1), "w2": (w2, dw2), "nodes": (nodes, dnodes)}
+
+
+def _lstm_case(rng):
+    """The recurrent cell over T in [2, 5) steps from a zero state, under a
+    random projection of its hidden states; the input gradient is dz @ wx.T."""
+    t_len = int(rng.integers(2, 5))
+    f, h = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+    wx = rng.standard_normal((f, 4 * h)) * 0.5
+    wh = rng.standard_normal((h, 4 * h)) * 0.5
+    b = rng.standard_normal(4 * h) * 0.2
+    xs = rng.standard_normal((t_len, f))
+    dhs = rng.standard_normal((t_len, h))
+    _, cache = nn.lstm_forward_seq(wx, wh, b, xs)
+    dwx, dwh, db, dz = nn.lstm_backward_seq(cache, dhs, wx, wh)
+
+    def loss():
+        hs, _ = nn.lstm_forward_seq(wx, wh, b, xs)
+        return float((hs * dhs).sum())
+
+    return loss, {"wx": (wx, dwx), "wh": (wh, dwh), "b": (b, db), "xs": (xs, dz @ wx.T)}
+
+
+def _heads_case(rng):
+    """The heads on T in [2, 5) hidden states: the summed log-probability
+    of a random action per step plus the summed values."""
+    t_len = int(rng.integers(2, 5))
+    hdim = int(rng.integers(2, 8))
+    aw, ab = rng.standard_normal((hdim, 6)), rng.standard_normal(6)
+    cw, cb = rng.standard_normal(hdim), np.array(rng.standard_normal())
+    hs = rng.standard_normal((t_len, hdim))
+    acts = rng.integers(6, size=t_len)
+    logits, _ = nn.actor_critic(aw, ab, cw, cb, hs)
+    # d log p[a] / d logits = onehot(a) - p
+    dlogits = np.eye(6)[acts] - nn.softmax(logits)
+    daw, dab, dcw, dcb, dhs = nn.actor_critic_backward_seq(aw, cw, hs, dlogits, np.ones(t_len))
+
+    def loss():
+        lg, v = nn.actor_critic(aw, ab, cw, cb, hs)
+        return float(nn.log_softmax(lg)[np.arange(t_len), acts].sum() + v.sum())
+
+    return loss, {"actor_w": (aw, daw), "actor_b": (ab, dab), "critic_w": (cw, dcw),
+                  "critic_b": (cb, dcb), "hs": (hs, dhs)}
+
+
 def test_criterion_5_gradient_suite():
+    # the gcn, lstm and heads blocks probe the sequence kernels that the A2C
+    # update runs; the a2c and lambda blocks probe the whole update
     t0 = time.time()
     rng = np.random.default_rng(99)
     worst = {"gcn": 0.0, "lstm": 0.0, "heads": 0.0, "a2c": 0.0, "lambda": 0.0}
 
-    for _ in range(50):
-        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-        w1, w2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        nodes = rng.standard_normal((m, n))
-        ahat = nn.normalize_adjacency(random_edge_matrix(rng, m))
-        proj = rng.standard_normal((m, n))
-        _, cache = nn.gcn_forward(w1, w2, nodes, ahat)
-        dw1, dw2, dnodes = nn.gcn_backward(cache, proj, w1, w2)
-
-        def gloss():
-            out, _ = nn.gcn_forward(w1, w2, nodes, ahat)
-            return float((out * proj).sum())
-
-        for arr, grad in ((w1, dw1), (w2, dw2), (nodes, dnodes)):
-            worst["gcn"] = max(worst["gcn"], fd_probe(gloss, arr, grad, rng, 2))
-
-    for _ in range(50):
-        f, h = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-        wx = rng.standard_normal((f, 4 * h)) * 0.5
-        wh = rng.standard_normal((h, 4 * h)) * 0.5
-        b = rng.standard_normal(4 * h) * 0.2
-        x, h0, c0 = rng.standard_normal(f), rng.standard_normal(h), rng.standard_normal(h)
-        ph, pc = rng.standard_normal(h), rng.standard_normal(h)
-        _, _, cache = nn.lstm_step(wx, wh, b, x, h0, c0)
-        dwx, dwh, db, dx, dh, dc = nn.lstm_backward(cache, ph, pc, wx, wh)
-
-        def lloss():
-            h2, c2, _ = nn.lstm_step(wx, wh, b, x, h0, c0)
-            return float(h2 @ ph + c2 @ pc)
-
-        for arr, grad in ((wx, dwx), (wh, dwh), (b, db), (x, dx), (h0, dh), (c0, dc)):
-            worst["lstm"] = max(worst["lstm"], fd_probe(lloss, arr, grad, rng, 2))
-
-    for _ in range(50):
-        hdim = int(rng.integers(2, 8))
-        aw, ab = rng.standard_normal((hdim, 6)), rng.standard_normal(6)
-        cw, cb = rng.standard_normal(hdim), np.array(rng.standard_normal())
-        hvec = rng.standard_normal(hdim)
-        a = int(rng.integers(6))
-        logits, _ = nn.actor_critic(aw, ab, cw, cb, hvec)
-        p = nn.softmax(logits)
-        onehot = np.zeros(6)
-        onehot[a] = 1.0
-        daw, dab, dcw, dcb, dh = nn.actor_critic_backward(aw, cw, hvec, onehot - p, 1.0)
-
-        def hloss():
-            lg, v = nn.actor_critic(aw, ab, cw, cb, hvec)
-            return float(nn.log_softmax(lg)[a] + v)
-
-        for arr, grad in ((aw, daw), (ab, dab), (cw, dcw), (hvec, dh)):
-            worst["heads"] = max(worst["heads"], fd_probe(hloss, arr, grad, rng, 2))
+    for block, case in (("gcn", _gcn_case), ("lstm", _lstm_case), ("heads", _heads_case)):
+        for _ in range(50):
+            loss, probes = case(rng)
+            for arr, grad in probes.values():
+                worst[block] = max(worst[block], fd_probe(loss, arr, grad, rng, 2))
 
     lam_grads = []
     for _ in range(50):
@@ -450,9 +470,29 @@ def test_criterion_5_probe_detects_corrupted_gradients():
         unchained = grads["lambda_raw"] / (lam * (1.0 - lam))
         worst_unchained = max(worst_unchained,
                               fd_probe(aloss, params["lambda_raw"], unchained, rng, 1))
+    # the sequence kernels of the per-block probes, one weight gradient each
+    for key, case, name in (("gcn.w1", _gcn_case, "w1"), ("lstm.wx", _lstm_case, "wx"),
+                            ("heads.actor_w", _heads_case, "actor_w")):
+        worst_scaled[key] = 0.0
+        for _ in range(10):
+            loss, probes = case(rng)
+            arr, grad = probes[name]
+            worst_scaled[key] = max(worst_scaled[key], fd_probe(loss, arr, grad * 1.001, rng, 1))
     print(f"\nscaled by 1.001: {worst_scaled}, chain factor dropped: {worst_unchained:.2e}")
     assert all(v > 1e-4 for v in worst_scaled.values()), worst_scaled
     assert worst_unchained > 1e-4, worst_unchained
+
+
+def test_criterion_5_probe_sees_a_tiny_derivative_of_a_large_loss():
+    # at the smallest steps two neighbouring estimates of this derivative
+    # agree closely, yet each is off by the round-off of a loss near 65; the
+    # probe must not take that agreement for accuracy
+    g, c = 8.715215744566964e-07, -8.768029102052144e-07
+    x = np.array([0.09050690893848135])
+    fd = fd_derivative(lambda: 65.49161983685585 + g * x[0] + c * math.sin(x[0]), x, 0)
+    exact = g + c * math.cos(0.09050690893848135)
+    assert _rel_err(fd, exact) <= 1e-4, (fd, exact)
+    assert x[0] == 0.09050690893848135
 
 
 # ---------------------------------------------------------------------------

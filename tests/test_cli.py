@@ -207,6 +207,20 @@ class TestTrainEval:
         assert provider.dim == 16
         assert "lstm_wx" in params
 
+    def test_both_split_spellings_write_one_meta_value(self, pipeline, tmp_path):
+        # `split = zero-shot` in a config file and `--split zero-shot` on the
+        # command line name the same split, and the checkpoint says so once
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("embedding.dim = 16\nhidden = 16\nsplit = zero-shot\n")
+        base = ["train", "--scenes", str(pipeline / "scenes"), "--graph", str(pipeline / "g.kg"),
+                "--episodes", "0"]
+        assert run([*base, "--config", str(cfg), "--out", str(tmp_path / "file.ckpt")]) == 0
+        cfg.write_text("embedding.dim = 16\nhidden = 16\n")
+        assert run([*base, "--config", str(cfg), "--split", "zero-shot",
+                    "--out", str(tmp_path / "flag.ckpt")]) == 0
+        for name in ("file.ckpt", "flag.ckpt"):
+            assert nn.load_checkpoint(tmp_path / name)[1]["split"] == "zero_shot"
+
     def test_train_determinism_byte_identical(self, pipeline, tmp_path):
         cfg = pipeline / "train.cfg"
         for name in ("m1.ckpt", "m2.ckpt"):

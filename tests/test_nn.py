@@ -5,7 +5,8 @@ import zonegraph.nn as nn
 from zonegraph.errors import FormatError, NonFiniteError
 from zonegraph.selfcheck import random_edge_matrix
 
-from conftest import lstm_forward_seq_loop, lstm_step_split
+from conftest import (actor_critic_backward, gcn_backward, gcn_forward, lstm_backward,
+                      lstm_forward_seq_loop, lstm_step_split)
 
 
 class TestNormalizeAdjacency:
@@ -35,7 +36,7 @@ class TestGcn:
     def test_identity_weights_identity_adjacency(self):
         rng = np.random.default_rng(1)
         nodes = np.abs(rng.normal(size=(4, 5)))  # non-negative: ReLU is a no-op
-        out, _ = nn.gcn_forward(np.eye(5), np.eye(5), nodes, np.eye(4))
+        out, _ = gcn_forward(np.eye(5), np.eye(5), nodes, np.eye(4))
         np.testing.assert_array_equal(out, nodes)
 
     def test_zero_nodes_zero_output(self):
@@ -43,7 +44,7 @@ class TestGcn:
         w1 = rng.normal(size=(5, 5))
         w2 = rng.normal(size=(5, 5))
         ahat = nn.normalize_adjacency(random_edge_matrix(rng, 3))
-        out, _ = nn.gcn_forward(w1, w2, np.zeros((3, 5)), ahat)
+        out, _ = gcn_forward(w1, w2, np.zeros((3, 5)), ahat)
         np.testing.assert_array_equal(out, np.zeros((3, 5)))
 
     def test_matches_dense_recomputation(self):
@@ -53,7 +54,7 @@ class TestGcn:
         w2 = rng.normal(size=(n, n))
         nodes = rng.normal(size=(m, n))
         ahat = nn.normalize_adjacency(random_edge_matrix(rng, m))
-        out, _ = nn.gcn_forward(w1, w2, nodes, ahat)
+        out, _ = gcn_forward(w1, w2, nodes, ahat)
         oracle = ahat @ np.maximum(ahat @ nodes @ w1, 0.0) @ w2
         np.testing.assert_allclose(out, oracle, atol=1e-14)
         assert out.shape == (m, n)
@@ -68,12 +69,12 @@ class TestGcn:
             nodes = rng.normal(size=(m, n))
             ahat = nn.normalize_adjacency(random_edge_matrix(rng, m))
             proj = rng.normal(size=(m, n))
-            out, cache = nn.gcn_forward(w1, w2, nodes, ahat)
-            dw1, dw2, dnodes = nn.gcn_backward(cache, proj, w1, w2)
+            out, cache = gcn_forward(w1, w2, nodes, ahat)
+            dw1, dw2, dnodes = gcn_backward(cache, proj, w1, w2)
             delta = 1e-6
 
             def loss(w1=w1, w2=w2, nodes=nodes):
-                o, _ = nn.gcn_forward(w1, w2, nodes, ahat)
+                o, _ = gcn_forward(w1, w2, nodes, ahat)
                 return float((o * proj).sum())
 
             for arr, grad in ((w1, dw1), (w2, dw2), (nodes, dnodes)):
@@ -96,14 +97,14 @@ class TestLstm:
         wh = np.zeros((h, 4 * h))
         b = np.zeros(4 * h)
         c0 = np.array([0.5, -1.0, 2.0, 0.0])
-        h2, c2, _ = nn.lstm_step(wx, wh, b, np.ones(f), np.zeros(h), c0)
+        h2, c2 = nn.lstm_step(wx, wh, b, np.ones(f), np.zeros(h), c0)
         np.testing.assert_allclose(c2, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(h2, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_all_zero_is_zero(self):
         h, f = 3, 2
-        h2, c2, _ = nn.lstm_step(np.zeros((f, 4 * h)), np.zeros((h, 4 * h)), np.zeros(4 * h),
-                                 np.zeros(f), np.zeros(h), np.zeros(h))
+        h2, c2 = nn.lstm_step(np.zeros((f, 4 * h)), np.zeros((h, 4 * h)), np.zeros(4 * h),
+                              np.zeros(f), np.zeros(h), np.zeros(h))
         np.testing.assert_array_equal(h2, np.zeros(h))
         np.testing.assert_array_equal(c2, np.zeros(h))
 
@@ -120,12 +121,12 @@ class TestLstm:
             c0 = rng.normal(size=h)
             ph = rng.normal(size=h)
             pc = rng.normal(size=h)
-            _, _, cache = nn.lstm_step(wx, wh, b, x, h0, c0)
-            dwx, dwh, db, dx, dh, dc = nn.lstm_backward(cache, ph, pc, wx, wh)
+            _, _, cache = lstm_step_split(wx, wh, b, x, h0, c0)
+            dwx, dwh, db, dx, dh, dc = lstm_backward(cache, ph, pc, wx, wh)
             delta = 1e-6
 
             def loss():
-                h2, c2, _ = nn.lstm_step(wx, wh, b, x, h0, c0)
+                h2, c2, _ = lstm_step_split(wx, wh, b, x, h0, c0)
                 return float(h2 @ ph + c2 @ pc)
 
             for arr, grad in ((wx, dwx), (wh, dwh), (b, db), (x, dx), (h0, dh), (c0, dc)):
@@ -153,11 +154,9 @@ class TestLstm:
                 x = rng.normal(size=f)
                 got = nn.lstm_step(wx, wh, b, x, h, c)
                 want = lstm_step_split(wx, wh, b, x, h, c)
+                assert len(got) == 2
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-                assert len(got[2]) == len(want[2])
-                for a, w in zip(got[2], want[2]):
-                    assert a.shape == w.shape and np.array_equal(a, w)
-                h, c = got[0], got[1]
+                h, c = got
 
 
     @pytest.mark.parametrize("hidden", [1, 7])
@@ -181,7 +180,8 @@ class TestLstm:
             with np.errstate(over="ignore", invalid="ignore"):
                 got = nn.lstm_step(wx, wh, b, x_in, h, c)
                 want = lstm_step_split(wx, wh, b, x_in, h, c)
-            for a, w in zip(got[:2] + got[2], want[:2] + want[2]):
+            assert len(got) == 2
+            for a, w in zip(got, want[:2]):
                 assert a.shape == w.shape and a.tobytes() == w.tobytes()
 
     @staticmethod
@@ -322,7 +322,7 @@ class TestHeads:
             onehot = np.zeros(6)
             onehot[a] = 1.0
             # d log p[a] / d logits = onehot - p; plus value path gradient
-            daw, dab, dcw, dcb, dh = nn.actor_critic_backward(aw, cw, h, onehot - p, 1.0)
+            daw, dab, dcw, dcb, dh = actor_critic_backward(aw, cw, h, onehot - p, 1.0)
             delta = 1e-6
 
             def loss():
@@ -365,11 +365,11 @@ class TestSequenceKernels:
         dw1, dw2, dnodes = nn.gcn_backward_seq(cache, dout_rows, w1, w2)
         ref_dw1, ref_dw2 = np.zeros_like(w1), np.zeros_like(w2)
         for t in range(t_len):
-            full, step_cache = nn.gcn_forward(w1, w2, nodes_seq[t], ahat)
+            full, step_cache = gcn_forward(w1, w2, nodes_seq[t], ahat)
             self._close(out[t], full[rows[t]], self.TOL)
             dout = np.zeros((m, n))
             dout[rows[t]] = dout_rows[t]
-            a, b, d = nn.gcn_backward(step_cache, dout, w1, w2)
+            a, b, d = gcn_backward(step_cache, dout, w1, w2)
             ref_dw1 += a
             ref_dw2 += b
             self._close(dnodes[t], d, self.TOL)
@@ -390,15 +390,15 @@ class TestSequenceKernels:
         state = (np.zeros(h), np.zeros(h))
         caches = []
         for t in range(t_len):
-            hh, cc, step_cache = nn.lstm_step(wx, wh, b, xs[t], *state)
+            hh, cc, step_cache = lstm_step_split(wx, wh, b, xs[t], *state)
             self._close(hs[t], hh, self.TOL)
             state = (hh, cc)
             caches.append(step_cache)
         ref = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
         dh_next, dc_next = np.zeros(h), np.zeros(h)
         for t in range(t_len - 1, -1, -1):
-            a, w, d, dx, dh_next, dc_next = nn.lstm_backward(caches[t], dhs[t] + dh_next,
-                                                             dc_next, wx, wh)
+            a, w, d, dx, dh_next, dc_next = lstm_backward(caches[t], dhs[t] + dh_next,
+                                                          dc_next, wx, wh)
             for acc, g in zip(ref, (a, w, d)):
                 acc += g
             self._close(dz[t] @ wx.T, dx, self.TOL)
@@ -420,7 +420,7 @@ class TestSequenceKernels:
             lg, v = nn.actor_critic(aw, ab, cw, cb, hs[t])
             self._close(logits[t], lg, self.TOL)
             self._close(values[t], v, self.TOL)
-            *step, dh = nn.actor_critic_backward(aw, cw, hs[t], dlogits[t], dvalues[t])
+            *step, dh = actor_critic_backward(aw, cw, hs[t], dlogits[t], dvalues[t])
             for acc, g in zip(ref, step):
                 acc += g
             self._close(grads[4][t], dh, self.TOL)

@@ -32,7 +32,8 @@ from zonegraph.policy import (
 from zonegraph.selfcheck import fd_check, random_edge_matrix, random_trajectory
 from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_objects
 
-from conftest import lstm_step_split, make_scene
+from conftest import (actor_critic_backward, gcn_backward, gcn_forward, lstm_backward,
+                      lstm_step_split, make_scene)
 
 
 def pool_spatial(spatial: np.ndarray) -> np.ndarray:
@@ -85,8 +86,8 @@ def _rollout_reference(state, params, graph, provider, rng, greedy, mask):
 
 def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
     """The update one step at a time through the finite-difference-tested
-    per-step kernels (nn.gcn_*, nn.lstm_*, nn.actor_critic*): the oracle
-    that the batched a2c_loss_and_grads must match."""
+    per-step reference kernels of conftest: the oracle that the batched
+    a2c_loss_and_grads must match."""
     grads = nn.zeros_like_params(params)
     lam = float(nn.sigmoid(params["lambda_raw"]))
     w1, w2 = params["gcn_w1"], params["gcn_w2"]
@@ -114,13 +115,13 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
             old_row = adapted[zone].copy()
             adapted[zone] = lam * traj.f_obs[t] + (1.0 - lam) * old_row
             old_rows.append(old_row)
-            gcn_out, gcache = nn.gcn_forward(w1, w2, adapted, ahat)
+            gcn_out, gcache = gcn_forward(w1, w2, adapted, ahat)
             gcn_caches.append(gcache)
             f_gra = gcn_out[traj.subgoals[t]]
             x = nn.CELL_INPUT_GAIN * compose_input(
                 traj.img[t], traj.goal_emb, f_gra, prev_actions[t], traj.mask
             )
-            h, c, lcache = nn.lstm_step(wx, wh, b, x, h, c)
+            h, c, lcache = lstm_step_split(wx, wh, b, x, h, c)
             lstm_caches.append(lcache)
             h_list.append(h)
             logits, value = nn.actor_critic(aw, ab, cw, cb, h)
@@ -158,14 +159,14 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
         d_adapted = np.zeros((graph.zone_count, n_feat))
         for t in range(t_len - 1, -1, -1):
             zone = traj.zones[t]
-            daw, dab, dcw, dcb, dh_head = nn.actor_critic_backward(
+            daw, dab, dcw, dcb, dh_head = actor_critic_backward(
                 aw, cw, h_list[t], dlogits_list[t], dvalues[t]
             )
             grads["actor_w"] += daw
             grads["actor_b"] += dab
             grads["critic_w"] += dcw
             grads["critic_b"] = grads["critic_b"] + dcb
-            dwx, dwh, db, dx, dh_next, dc_next = nn.lstm_backward(
+            dwx, dwh, db, dx, dh_next, dc_next = lstm_backward(
                 lstm_caches[t], dh_head + dh_next, dc_next, wx, wh
             )
             grads["lstm_wx"] += dwx
@@ -176,7 +177,7 @@ def _a2c_reference(params, trajectories, graph, config, frozen_advantages=None):
                 dgra = np.zeros_like(dgra)
             dout = np.zeros((graph.zone_count, n_feat))
             dout[traj.subgoals[t]] = dgra
-            dw1, dw2, dnodes = nn.gcn_backward(gcn_caches[t], dout, w1, w2)
+            dw1, dw2, dnodes = gcn_backward(gcn_caches[t], dout, w1, w2)
             grads["gcn_w1"] += dw1
             grads["gcn_w2"] += dw2
             d_adapted += dnodes
@@ -477,8 +478,8 @@ class TestReturnsAndLoss:
         f_gra = graph_feature(params, gs, int(one.subgoals[0]))
         x = nn.CELL_INPUT_GAIN * compose_input(one.img[0], one.goal_emb, f_gra, -1)
         hidden = np.zeros(8)
-        h, _, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x,
-                               hidden, hidden)
+        h, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x,
+                            hidden, hidden)
         _, value = nn.actor_critic(params["actor_w"], params["actor_b"], params["critic_w"],
                                    params["critic_b"], h)
         assert adv[0] == pytest.approx(one.rewards[0] - value, abs=1e-9)

@@ -283,6 +283,17 @@ class TestStep:
         with pytest.raises(UsageError):
             step(st, Action.MOVE_AHEAD)
 
+    def test_integer_actions_step_as_their_enum_and_invalid_ones_raise(self):
+        scene = make_scene(6, 6, [("Sink", 5, 5, "mid")])
+        by_int, by_enum = (reset_episode(scene, "Sink", seed=0) for _ in range(2))
+        for a in (2, 0, 3, 4, 1):
+            assert step(by_int, a) == step(by_enum, Action(a))
+            assert by_int.pose == by_enum.pose
+        for bad in (6, -1):
+            with pytest.raises(ValueError):
+                step(by_int, bad)
+        assert by_int.pose == by_enum.pose and by_int.step_count == 5
+
     def test_pose_closure_random_walk(self):
         scene = generate_scene("bedroom", (8, 8), 3)
         goal = sorted(scene.goal_categories_present())[0]
