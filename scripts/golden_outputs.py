@@ -13,10 +13,13 @@ category (four scenes seeded 0-3 each):
     eval.report                  bench/data/eval.ckpt, zero-shot, greedy,
                                  150 episodes at seeds 1,2,3
     eval-mask-gra.report         the same with the graph input masked
+    eval-mask-obj.report         the same with the goal input masked alone,
+                                 so the rollout's once-per-episode goal
+                                 term is switched off on its own
     eval-mask-img-obj-act.report the same with the image, goal and action
                                  inputs masked; with eval-mask-gra, every
-                                 slice of the recurrent cell's input is
-                                 zeroed in one of the runs
+                                 block of the recurrent cell's input is
+                                 switched off in one of the runs
     selfcheck.out                `selfcheck`: the embedded oracle suite, whose
                                  finite-difference figure goes through the
                                  sequence kernels of the A2C update
@@ -78,6 +81,7 @@ def main(outdir: str) -> None:
             "--workers", str(workers), "--split", "zero-shot"])
     zonegraph("eval", ["eval", *EVAL, "--out", "eval.report"])
     zonegraph("eval-mask-gra", ["eval", *EVAL, "--mask", "gra", "--out", "eval-mask-gra.report"])
+    zonegraph("eval-mask-obj", ["eval", *EVAL, "--mask", "obj", "--out", "eval-mask-obj.report"])
     zonegraph("eval-mask-img-obj-act", ["eval", *EVAL, "--mask", "img,obj,act",
                                         "--out", "eval-mask-img-obj-act.report"])
     zonegraph("selfcheck", ["selfcheck"])

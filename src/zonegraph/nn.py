@@ -185,23 +185,23 @@ def _cell(z: np.ndarray, c: np.ndarray):
     return c2, tc, o * tc
 
 
-def lstm_step(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray,
-              h: np.ndarray, c: np.ndarray):
-    """One step of the cell, as the rollout runs it: returns the next hidden
-    and cell states. _cell computes the gates in place in the fresh
-    pre-activation vector."""
-    z = x @ wx
-    z += h @ wh
-    z += b
+def lstm_step(zx: np.ndarray, wh: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One step of the cell, as the rollout runs it, given the step's input
+    projection plus bias zx = x @ wx + b (4H,): returns the next hidden and
+    cell states. The pre-activation is h @ wh + zx, the sum
+    lstm_forward_seq forms at each step; _cell computes the gates in place
+    in it."""
+    z = h @ wh
+    z += zx
     c2, _, h2 = _cell(z, c)
     return h2, c2
 
 
 def lstm_forward_seq(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, xs: np.ndarray):
     """lstm_step over the rows of xs (T, F) from a zero state; returns the
-    hidden states (T, H). The input projection xs @ wx is one GEMM, so only
-    h @ wh and the gates (_cell, in place in each step's row of the cached
-    gates) run step by step."""
+    hidden states (T, H). The input projection xs @ wx + b is one GEMM, so
+    only h @ wh and the gates (_cell, in place in each step's row of the
+    cached gates) run step by step."""
     t_len = xs.shape[0]
     hid = wh.shape[0]
     zx = xs @ wx + b

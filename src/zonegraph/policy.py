@@ -121,10 +121,15 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
 
     Perception depends only on the scene, the pose and the provider, which
     an episode never changes, so each pose's features are computed on its
-    first visit and reused on later ones. The cell input is one buffer laid
-    out as compose_input's [image | goal | graph | action], each slice
-    holding CELL_INPUT_GAIN times its part, the same product compose_input's
-    caller forms; masked slices stay 0.0."""
+    first visit and reused on later ones.
+
+    The cell's input projection x @ wx + b, with x = CELL_INPUT_GAIN times
+    compose_input's [image | goal | graph | action], is summed block by
+    block, each block as often as it changes: the goal term once per
+    episode, the image term once per pose (kept in the memo with the bias
+    and the goal term), and the previous action's one-hot term is one row
+    of CELL_INPUT_GAIN * wx. Only the graph term is a product per step.
+    Masked blocks add nothing."""
     if state.terminated:
         raise UsageError("rollout() on a terminated episode")
     _check_mask(mask)
@@ -138,33 +143,37 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
     hidden = nn.hidden_size(params)
     h = np.zeros(hidden)
     c = np.zeros(hidden)
-    layout = nn.input_layout(goal_emb.shape[0], graph.feature_dim)
-    x = np.zeros(layout[3].stop)
-    x_img, x_goal, x_gra, x_act = (x[part] for part in layout)
-    use_img, use_gra, use_act = "img" not in mask, "gra" not in mask, "act" not in mask
-    if "obj" not in mask:
-        np.multiply(nn.CELL_INPUT_GAIN, goal_emb, out=x_goal)
-    perceived = {}  # pose -> (img, f_obs, CELL_INPUT_GAIN * img), all read-only
+    gain = nn.CELL_INPUT_GAIN
+    img_at, goal_at, gra_at, act_at = nn.input_layout(goal_emb.shape[0], graph.feature_dim)
+    wx_img, wx_gra = wx[img_at], wx[gra_at]
+    use_img, use_gra = "img" not in mask, "gra" not in mask
+    base = b + (gain * goal_emb) @ wx[goal_at] if "obj" not in mask else b.copy()
+    act_rows = None if "act" in mask else gain * wx[act_at]
+    act_row = None  # the previous action's term; none before the first action
+    perceived = {}  # pose -> (img, f_obs, base plus the image term), all read-only
     records = []  # per step: img, f_obs, zone, subgoal, action, reward (Trajectory's order)
     while not state.terminated:
         seen = perceived.get(state.pose)
         if seen is None:
             obs = visible_objects(state.scene, state.pose)
             img = nn.IMG_INPUT_GAIN * pooled_image_feature(provider, obs)
-            seen = (img, observation_feature(provider, obs), nn.CELL_INPUT_GAIN * img)
+            pose_base = base + (gain * img) @ wx_img if use_img else base
+            seen = (img, observation_feature(provider, obs), pose_base)
             for array in seen:
                 array.flags.writeable = False
             perceived[state.pose] = seen
-        img, f_obs, cell_img = seen
+        img, f_obs, pose_base = seen
         zone = locate_current_zone(gs, f_obs)
         adapt_graph(gs, f_obs, zone)
         subgoal = plan_subgoal(gs, zone, z_target)
-        f_gra = graph_feature(params, gs, subgoal)
-        if use_img:
-            x_img[:] = cell_img
         if use_gra:
-            np.multiply(nn.CELL_INPUT_GAIN, f_gra, out=x_gra)
-        h, c = nn.lstm_step(wx, wh, b, x, h, c)
+            zx = (gain * graph_feature(params, gs, subgoal)) @ wx_gra
+            zx += pose_base
+        else:
+            zx = pose_base.copy()
+        if act_row is not None:
+            zx += act_row
+        h, c = nn.lstm_step(zx, wh, h, c)
         logits = h @ actor_w + actor_b
         if greedy:
             action = nn.greedy_action(logits)
@@ -172,9 +181,8 @@ def rollout(state: EpisodeState, params: nn.Params, graph: KnowledgeGraph,
             action = nn.sample_action(rng, logits)
         event = step(state, action)
         records.append((img, f_obs, zone, subgoal, action, reward(event)))
-        if use_act:  # the next step's one-hot previous action
-            x_act.fill(0.0)
-            x_act[action] = nn.CELL_INPUT_GAIN
+        if act_rows is not None:
+            act_row = act_rows[action]
     columns = [np.array(column) for column in zip(*records)]
     return Trajectory(*columns, goal=state.goal, goal_emb=goal_emb, success=state.success,
                       mask=mask)

@@ -5,6 +5,7 @@ from hypothesis import settings
 import zonegraph.nn as nn
 from zonegraph.embedding import EmbeddingProvider
 from zonegraph.errors import UsageError
+from zonegraph.policy import compose_input
 from zonegraph.sim import CELL, ObjectInstance, Scene
 
 # property tests draw the same examples on every run and stay short
@@ -56,9 +57,9 @@ def gcn_backward(cache, dout: np.ndarray, w1: np.ndarray, w2: np.ndarray):
 
 
 def lstm_step_split(wx, wh, b, x, h, c):
-    """The recurrent cell through np.split, one activation call per gate:
-    the formula nn.lstm_step must reproduce bitwise. Its third output is the
-    step's cache for lstm_backward."""
+    """The recurrent cell through np.split, one activation call per gate, on
+    the whole input x: the step of the per-step references. Its third output
+    is the step's cache for lstm_backward."""
     z = x @ wx + h @ wh + b
     zi, zf, zo, zg = np.split(z, 4)
     i = nn.sigmoid(zi)
@@ -101,10 +102,25 @@ def actor_critic_backward(actor_w, critic_w, h: np.ndarray, dlogits: np.ndarray,
     return dactor_w, dactor_b, dcritic_w, dcritic_b, dh
 
 
+def lstm_loop_step(zx, wh, h, c):
+    """One step of lstm_forward_seq_loop, given the step's input projection
+    plus bias zx: the pre-activation zx + h @ wh, with one sigmoid call over
+    the i | f | o gates. The formula nn.lstm_step must reproduce bitwise.
+    Returns the next hidden and cell states, the gates and tanh of the next
+    cell state."""
+    hid = wh.shape[0]
+    z = zx + h @ wh
+    gate = np.empty_like(z)
+    gate[: 3 * hid] = nn.sigmoid(z[: 3 * hid])
+    gate[3 * hid :] = np.tanh(z[3 * hid :])
+    c2 = gate[hid : 2 * hid] * c + gate[:hid] * gate[3 * hid :]
+    tc = np.tanh(c2)
+    return gate[2 * hid : 3 * hid] * tc, c2, gate, tc
+
+
 def lstm_forward_seq_loop(wx, wh, b, xs):
-    """The sequence forward as a step loop with one sigmoid call over the
-    i | f | o gates: the formula nn.lstm_forward_seq must reproduce bitwise,
-    cache included."""
+    """The sequence forward as a loop of lstm_loop_step: the formula
+    nn.lstm_forward_seq must reproduce bitwise, cache included."""
     t_len, hid = xs.shape[0], wh.shape[0]
     zx = xs @ wx + b
     gates = np.empty((t_len, 4 * hid))
@@ -112,14 +128,19 @@ def lstm_forward_seq_loop(wx, wh, b, xs):
     cs = np.zeros((t_len + 1, hid))
     tcs = np.empty((t_len, hid))
     for t in range(t_len):
-        z = zx[t] + hs[t] @ wh
-        gate = gates[t]
-        gate[: 3 * hid] = nn.sigmoid(z[: 3 * hid])
-        gate[3 * hid :] = np.tanh(z[3 * hid :])
-        cs[t + 1] = gate[hid : 2 * hid] * cs[t] + gate[:hid] * gate[3 * hid :]
-        tcs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = gate[2 * hid : 3 * hid] * tcs[t]
+        hs[t + 1], cs[t + 1], gates[t], tcs[t] = lstm_loop_step(zx[t], wh, hs[t], cs[t])
     return hs[1:], (xs, hs, cs, gates, tcs)
+
+
+def unfactored_cell_step(params, img, goal_emb, f_gra, prev_action, mask, h, c):
+    """One rollout step of the recurrent cell on its whole input:
+    x = CELL_INPUT_GAIN * compose_input(...), then x @ wx + b, then the
+    cell. The rollout sums x @ wx block by block instead, each block as
+    often as it changes; it is held to this form at a stated tolerance."""
+    x = nn.CELL_INPUT_GAIN * compose_input(img, goal_emb, f_gra, prev_action, mask)
+    h2, c2, _, _ = lstm_loop_step(x @ params["lstm_wx"] + params["lstm_b"], params["lstm_wh"],
+                                  h, c)
+    return h2, c2
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,10 @@ import pytest
 
 import zonegraph.nn as nn
 from zonegraph.errors import FormatError, NonFiniteError
-from zonegraph.selfcheck import random_edge_matrix
+from zonegraph.selfcheck import fd_probe, random_edge_matrix
 
 from conftest import (actor_critic_backward, gcn_backward, gcn_forward, lstm_backward,
-                      lstm_forward_seq_loop, lstm_step_split)
+                      lstm_forward_seq_loop, lstm_loop_step, lstm_step_split)
 
 
 class TestNormalizeAdjacency:
@@ -71,23 +71,13 @@ class TestGcn:
             proj = rng.normal(size=(m, n))
             out, cache = gcn_forward(w1, w2, nodes, ahat)
             dw1, dw2, dnodes = gcn_backward(cache, proj, w1, w2)
-            delta = 1e-6
 
             def loss(w1=w1, w2=w2, nodes=nodes):
                 o, _ = gcn_forward(w1, w2, nodes, ahat)
                 return float((o * proj).sum())
 
             for arr, grad in ((w1, dw1), (w2, dw2), (nodes, dnodes)):
-                flat, gflat = arr.reshape(-1), grad.reshape(-1)
-                for idx in rng.choice(flat.size, size=3, replace=False):
-                    orig = flat[idx]
-                    flat[idx] = orig + delta
-                    lp = loss()
-                    flat[idx] = orig - delta
-                    lm = loss()
-                    flat[idx] = orig
-                    fd = (lp - lm) / (2 * delta)
-                    assert abs(fd - gflat[idx]) <= 1e-4 * max(abs(fd), abs(gflat[idx]), 1e-6)
+                assert fd_probe(loss, arr, grad, rng, probes=3) <= 1e-4
 
 
 class TestLstm:
@@ -97,14 +87,14 @@ class TestLstm:
         wh = np.zeros((h, 4 * h))
         b = np.zeros(4 * h)
         c0 = np.array([0.5, -1.0, 2.0, 0.0])
-        h2, c2 = nn.lstm_step(wx, wh, b, np.ones(f), np.zeros(h), c0)
+        h2, c2 = nn.lstm_step(np.ones(f) @ wx + b, wh, np.zeros(h), c0)
         np.testing.assert_allclose(c2, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(h2, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_all_zero_is_zero(self):
         h, f = 3, 2
-        h2, c2 = nn.lstm_step(np.zeros((f, 4 * h)), np.zeros((h, 4 * h)), np.zeros(4 * h),
-                              np.zeros(f), np.zeros(h), np.zeros(h))
+        zx = np.zeros(f) @ np.zeros((f, 4 * h)) + np.zeros(4 * h)
+        h2, c2 = nn.lstm_step(zx, np.zeros((h, 4 * h)), np.zeros(h), np.zeros(h))
         np.testing.assert_array_equal(h2, np.zeros(h))
         np.testing.assert_array_equal(c2, np.zeros(h))
 
@@ -123,23 +113,13 @@ class TestLstm:
             pc = rng.normal(size=h)
             _, _, cache = lstm_step_split(wx, wh, b, x, h0, c0)
             dwx, dwh, db, dx, dh, dc = lstm_backward(cache, ph, pc, wx, wh)
-            delta = 1e-6
 
             def loss():
                 h2, c2, _ = lstm_step_split(wx, wh, b, x, h0, c0)
                 return float(h2 @ ph + c2 @ pc)
 
             for arr, grad in ((wx, dwx), (wh, dwh), (b, db), (x, dx), (h0, dh), (c0, dc)):
-                flat, gflat = arr.reshape(-1), grad.reshape(-1)
-                for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                    orig = flat[idx]
-                    flat[idx] = orig + delta
-                    lp = loss()
-                    flat[idx] = orig - delta
-                    lm = loss()
-                    flat[idx] = orig
-                    fd = (lp - lm) / (2 * delta)
-                    assert abs(fd - gflat[idx]) <= 1e-4 * max(abs(fd), abs(gflat[idx]), 1e-6)
+                assert fd_probe(loss, arr, grad, rng, probes=3) <= 1e-4
 
     @pytest.mark.parametrize("hidden", [1, 5, 128])
     def test_bitwise_the_split_formula(self, hidden):
@@ -151,9 +131,9 @@ class TestLstm:
             b = rng.normal(size=4 * hidden) * scale
             h, c = np.zeros(hidden), np.zeros(hidden)
             for _ in range(40):
-                x = rng.normal(size=f)
-                got = nn.lstm_step(wx, wh, b, x, h, c)
-                want = lstm_step_split(wx, wh, b, x, h, c)
+                zx = rng.normal(size=f) @ wx + b
+                got = nn.lstm_step(zx, wh, h, c)
+                want = lstm_loop_step(zx, wh, h, c)
                 assert len(got) == 2
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
                 h, c = got
@@ -162,7 +142,7 @@ class TestLstm:
     @pytest.mark.parametrize("hidden", [1, 7])
     def test_bitwise_the_split_formula_at_extremes(self, hidden):
         # pre-activations of +-800 overflow exp in the sigmoid, and a NaN
-        # input reaches every gate; both must come out as the split formula's
+        # input reaches every gate; both must come out as the loop step's
         f = 10
         rng = np.random.default_rng(hidden)
         wx = np.zeros((f, 4 * hidden))
@@ -178,8 +158,9 @@ class TestLstm:
                  (x, np.zeros(hidden), np.full(hidden, np.nan))]
         for x_in, h, c in cases:
             with np.errstate(over="ignore", invalid="ignore"):
-                got = nn.lstm_step(wx, wh, b, x_in, h, c)
-                want = lstm_step_split(wx, wh, b, x_in, h, c)
+                zx = x_in @ wx + b
+                got = nn.lstm_step(zx, wh, h, c)
+                want = lstm_loop_step(zx, wh, h, c)
             assert len(got) == 2
             for a, w in zip(got, want[:2]):
                 assert a.shape == w.shape and a.tobytes() == w.tobytes()
@@ -323,23 +304,13 @@ class TestHeads:
             onehot[a] = 1.0
             # d log p[a] / d logits = onehot - p; plus value path gradient
             daw, dab, dcw, dcb, dh = actor_critic_backward(aw, cw, h, onehot - p, 1.0)
-            delta = 1e-6
 
             def loss():
                 lg, v = nn.actor_critic(aw, ab, cw, cb, h)
                 return float(nn.log_softmax(lg)[a] + v)
 
             for arr, grad in ((aw, daw), (ab, dab), (cw, dcw), (h, dh)):
-                flat, gflat = arr.reshape(-1), np.asarray(grad).reshape(-1)
-                for idx in rng.choice(flat.size, size=2, replace=False):
-                    orig = flat[idx]
-                    flat[idx] = orig + delta
-                    lp = loss()
-                    flat[idx] = orig - delta
-                    lm = loss()
-                    flat[idx] = orig
-                    fd = (lp - lm) / (2 * delta)
-                    assert abs(fd - gflat[idx]) <= 1e-4 * max(abs(fd), abs(gflat[idx]), 1e-6)
+                assert fd_probe(loss, arr, grad, rng, probes=2) <= 1e-4
 
 
 class TestSequenceKernels:

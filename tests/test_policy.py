@@ -33,7 +33,10 @@ from zonegraph.selfcheck import fd_check, random_edge_matrix, random_trajectory
 from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_objects
 
 from conftest import (actor_critic_backward, gcn_backward, gcn_forward, lstm_backward,
-                      lstm_step_split, make_scene)
+                      lstm_step_split, make_scene, unfactored_cell_step)
+
+ALL_MASKS = [frozenset(m) for k in range(len(policy.MASKABLE) + 1)
+             for m in itertools.combinations(sorted(policy.MASKABLE), k)]
 
 
 def pool_spatial(spatial: np.ndarray) -> np.ndarray:
@@ -256,8 +259,7 @@ class TestComposeInput:
             compose_input(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.array([-1, 0]),
                           mask=frozenset({"bogus"}))
 
-    @pytest.mark.parametrize("mask", [frozenset(m) for k in range(5)
-                                      for m in itertools.combinations(sorted(policy.MASKABLE), k)])
+    @pytest.mark.parametrize("mask", ALL_MASKS)
     def test_rows_are_the_stack_of_step_calls(self, mask):
         rng = np.random.default_rng(len(mask))
         t_len, d, n = 9, 5, 4
@@ -349,25 +351,35 @@ class TestRollout:
             assert state.terminated and traj.length == state.step_count
 
 
+@pytest.fixture(scope="module")
+def worlds():
+    out = []
+    for seed, dim in ((0, 64), (3, 16)):
+        provider = EmbeddingProvider.synthetic(dim=dim, seed=0)
+        scene = generate_scene("kitchen", (8, 8), seed)
+        graph = build_scene_graph(scene, provider, zones=8, eps=0.5, seed=0)
+        params = nn.init_params(dim, graph.feature_dim, seed=seed)
+        # a sharper policy than the near-uniform initial one, so that
+        # episodes move, turn and stop for a range of reasons
+        params["actor_w"] = params["actor_w"] * 300.0
+        params["lambda_raw"] = np.array(0.8)
+        goals = sorted(scene.goal_categories_present())[:3]
+        out.append((scene, graph, provider, params, goals))
+    return out
+
+
+def turning_params(params):
+    """A policy that mostly turns and looks in place, so that it revisits its
+    few poses and most steps read the episode's perception memo."""
+    turning = dict(params)
+    turning["actor_w"] = params["actor_w"] * 0.01
+    turning["actor_b"] = np.array([-4.0, 6.0, 2.0, 5.0, 5.0, -8.0])
+    return turning
+
+
 class TestRolloutMatchesReference:
     """rollout against _rollout_reference, field by field and bitwise, with
     the generator state after the episode."""
-
-    @pytest.fixture(scope="class")
-    def worlds(self):
-        out = []
-        for seed, dim in ((0, 64), (3, 16)):
-            provider = EmbeddingProvider.synthetic(dim=dim, seed=0)
-            scene = generate_scene("kitchen", (8, 8), seed)
-            graph = build_scene_graph(scene, provider, zones=8, eps=0.5, seed=0)
-            params = nn.init_params(dim, graph.feature_dim, seed=seed)
-            # a sharper policy than the near-uniform initial one, so that
-            # episodes move, turn and stop for a range of reasons
-            params["actor_w"] = params["actor_w"] * 300.0
-            params["lambda_raw"] = np.array(0.8)
-            goals = sorted(scene.goal_categories_present())[:3]
-            out.append((scene, graph, provider, params, goals))
-        return out
 
     @staticmethod
     def _assert_same(got, want):
@@ -420,9 +432,7 @@ class TestRolloutMatchesReference:
 
         monkeypatch.setattr(policy, "visible_objects", counted)
         for w, (scene, graph, provider, params, goals) in enumerate(worlds):
-            turning = dict(params)
-            turning["actor_w"] = params["actor_w"] * 0.01
-            turning["actor_b"] = np.array([-4.0, 6.0, 2.0, 5.0, 5.0, -8.0])
+            turning = turning_params(params)
             for g, goal in enumerate(goals):
                 calls.clear()
                 got = self._compare(scene, graph, provider, turning, goal, 7 * w + g, 60,
@@ -443,6 +453,95 @@ class TestRolloutMatchesReference:
                                         frozenset())
                     saw_objects = saw_objects or bool(got.img.any())
         assert saw_objects  # the providers' features entered some episodes
+
+
+class TestFactoredCellInput:
+    """rollout sums the cell's input projection block by block, each block
+    as often as it changes, so its hidden states differ from the unfactored
+    form's in their last bits. Held to conftest's unfactored_cell_step,
+    replayed along the episode: the re-baseline tolerance on h and the
+    logits of every step, and identical actions."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record each rollout step's hidden state and logits, and the
+        poses perceived."""
+        seen = {"h": [], "logits": [], "perceived": []}
+        real_step, real_greedy, real_sample = nn.lstm_step, nn.greedy_action, nn.sample_action
+        real_visible = policy.visible_objects
+
+        def lstm_step(*args):
+            h, c = real_step(*args)
+            seen["h"].append(h)
+            return h, c
+
+        def greedy_action(logits):
+            seen["logits"].append(logits)
+            return real_greedy(logits)
+
+        def sample_action(rng, logits):
+            seen["logits"].append(logits)
+            return real_sample(rng, logits)
+
+        def visible_objects(scene, pose):
+            seen["perceived"].append(pose)
+            return real_visible(scene, pose)
+
+        monkeypatch.setattr(nn, "lstm_step", lstm_step)
+        monkeypatch.setattr(nn, "greedy_action", greedy_action)
+        monkeypatch.setattr(nn, "sample_action", sample_action)
+        monkeypatch.setattr(policy, "visible_objects", visible_objects)
+        return seen
+
+    @staticmethod
+    def _replay(traj, seen, params, graph, rng, greedy):
+        """Step through the episode in the unfactored form, taking its own
+        actions, and return the worst relative error of the rollout's h and
+        logits over the steps."""
+        gs = GraphState(graph, lam=float(nn.sigmoid(params["lambda_raw"])))
+        h = c = np.zeros(nn.hidden_size(params))
+        prev_action = -1  # the first step has none
+        worst = 0.0
+        for t in range(traj.length):
+            zone = int(traj.zones[t])
+            adapt_graph(gs, traj.f_obs[t], zone)
+            f_gra = graph_feature(params, gs, int(traj.subgoals[t]))
+            h, c = unfactored_cell_step(params, traj.img[t], traj.goal_emb, f_gra, prev_action,
+                                        traj.mask, h, c)
+            logits = h @ params["actor_w"] + params["actor_b"]
+            worst = max(worst, _rel_err(seen["h"][t], h), _rel_err(seen["logits"][t], logits))
+            if greedy:
+                prev_action = int(np.argmax(logits))
+            else:
+                p = nn.softmax(logits)
+                prev_action = int(rng.choice(len(p), p=p / p.sum()))
+            assert prev_action == traj.actions[t], t
+        return worst
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    @pytest.mark.parametrize("mask", ALL_MASKS)
+    def test_matches_unfactored_form(self, worlds, greedy, mask, monkeypatch):
+        seen = self._record(monkeypatch)
+        steps = revisits = 0
+        worst = 0.0
+        for w, (scene, graph, provider, sharp, goals) in enumerate(worlds):
+            for params in (sharp, turning_params(sharp)):
+                for g, goal in enumerate(goals):
+                    for value in seen.values():
+                        value.clear()
+                    seed = 100 * w + 10 * g
+                    st = reset_episode(scene, goal, seed=seed, t_max=60)
+                    traj = rollout(st, params, graph, provider, np.random.default_rng(seed),
+                                   greedy=greedy, mask=mask)
+                    assert len(seen["h"]) == len(seen["logits"]) == traj.length
+                    worst = max(worst, self._replay(traj, seen, params, graph,
+                                                    np.random.default_rng(seed), greedy))
+                    steps += traj.length
+                    revisits += traj.length - len(seen["perceived"])
+        assert worst <= self.TOL
+        assert 2 * revisits >= steps  # most steps read the perception memo
 
 
 class TestReturnsAndLoss:
@@ -478,7 +577,7 @@ class TestReturnsAndLoss:
         f_gra = graph_feature(params, gs, int(one.subgoals[0]))
         x = nn.CELL_INPUT_GAIN * compose_input(one.img[0], one.goal_emb, f_gra, -1)
         hidden = np.zeros(8)
-        h, _ = nn.lstm_step(params["lstm_wx"], params["lstm_wh"], params["lstm_b"], x,
+        h, _ = nn.lstm_step(x @ params["lstm_wx"] + params["lstm_b"], params["lstm_wh"],
                             hidden, hidden)
         _, value = nn.actor_critic(params["actor_w"], params["actor_b"], params["critic_w"],
                                    params["critic_b"], h)
