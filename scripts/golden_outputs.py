@@ -2,11 +2,17 @@
 checkouts can be compared byte for byte.
 
 Every output comes from `zonegraph.cli.run`, on the benchmark's world (four
-8x8 kitchens seeded 0-3), and on scene set 0 at 16x16 of every room
-category (four scenes seeded 0-3 each):
+8x8 kitchens seeded 0-3), on scene set 0 at 16x16 of every room category
+(four scenes seeded 0-3 each), and on the benchmark's known-fault set (four
+8x8 bedrooms seeded 36-39):
 
     kitchen.kg                   the merged knowledge graph
     <room>-16x16.kg              each room's merged graph of set 0 at 16x16
+    bedroom-8x8-s<seed>.kg       each scene of the known-fault set built
+                                 alone, from a directory of its own: scene
+                                 38 has 5 distinct features, so k-means++
+                                 stops at 5 centers and the merged build of
+                                 the set fails by design
     inspect-graph.out            `inspect-graph kitchen.kg`: the graph read back
     train-w{1,8}.ckpt(.log)      48 zero-shot training episodes, seed 0,
                                  stats every 16 episodes, 1 and 8 workers
@@ -72,6 +78,14 @@ def main(outdir: str) -> None:
         zonegraph(f"gen-scenes-{name}", ["gen-scenes", "--room", room, "--count", "4",
                                          "--size", "16x16", "--seed", "0", "--out", name])
         zonegraph(f"build-graph-{name}", ["build-graph", "--scenes", name, "--room", room,
+                                          "--out", f"{name}.kg"])
+    zonegraph("gen-scenes-bedroom-8x8", ["gen-scenes", "--room", "bedroom", "--count", "4",
+                                         "--size", "8x8", "--seed", "36", "--out", "bedroom-8x8"])
+    for scene in sorted(Path("bedroom-8x8").glob("*.scene")):
+        name = f"bedroom-8x8-s{scene.stem.rpartition('_s')[2]}"
+        os.makedirs(name, exist_ok=True)
+        Path(name, scene.name).write_text(scene.read_text())
+        zonegraph(f"build-graph-{name}", ["build-graph", "--scenes", name, "--room", "bedroom",
                                           "--out", f"{name}.kg"])
     Path("train.cfg").write_text("stats_every = 16\n")
     for workers in (1, 8):

@@ -18,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .embedding import EmbeddingProvider
 from .errors import FormatError, UsageError
+from .nn import _choice_index
 from .sim import CELL, EPS, HALF_FOV, PITCHES, SEED_MASK, YAWS, Scene
 from .categories import GOAL_SET
 from .textio import float_row, header_fields, parse_floats, read_text, write_text
@@ -27,6 +28,7 @@ log = logging.getLogger(__name__)
 DEFAULT_ZONES = 8
 DEFAULT_EPS = 0.5  # meters; Manhattan adjacency threshold (one grid step)
 _ADJ_TOL = 1e-9
+_PAIR_BLOCK = 8192  # position pairs in one block of build_room_graph's distances
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-6
 
@@ -63,46 +65,81 @@ class KnowledgeGraph:
         return self.nodes.shape[1]
 
 
+_YAW_BITS = tuple(1 << y for y in range(len(YAWS)))
+_PITCH_RANK = {pitch: r for r, pitch in enumerate(PITCHES)}
+
+
+def _band_rank(near: tuple) -> int:
+    return _PITCH_RANK[near[1]]
+
+
 def sweep_position_features(scene: Scene, provider: EmbeddingProvider) -> PositionFeatureMap:
     """Enumerate all 8 yaw x 3 pitch views at every reachable position and
-    average the embeddings of the goal-category detections."""
+    average the embeddings of the goal-category detections.
+
+    The views run in visible_objects' order and with its field-of-view
+    test, so a position's feature is fixed by the ordered sequence of
+    categories it detects. Each distinct sequence is summed once, from
+    zeros and in that order, and every position with it shares the row."""
     positions = sorted((ix * CELL, iz * CELL) for ix, iz in scene.reachable_cells())
-    features = np.zeros((len(positions), provider.dim))
-    counts = np.zeros(len(positions), dtype=int)
+    vecs: list[np.ndarray] = []  # embedding of each category code
+    codes: dict[str, int] = {}  # category -> its byte in a sequence key
+    yaw_masks: dict[float | None, int] = {}  # angle -> bit y set iff visible at YAWS[y]
+    rows: dict[bytes, int] = {}  # detection sequence -> its distinct row
+    index = np.empty(len(positions), dtype=np.intp)
     for i, (x, z) in enumerate(positions):
-        goals = [(pitch, ang, provider.object_embedding(category))
-                 for category, pitch, ang, _ in scene.near_objects(x, z) if category in GOAL_SET]
-        total = np.zeros(provider.dim)
-        n = 0
-        # the views in visible_objects' order and with its field-of-view test,
-        # so the same vectors are added in the same order
-        for yaw in YAWS:
-            for pitch in PITCHES:
-                for band, ang, vec in goals:
-                    if band != pitch:
-                        continue
-                    if ang is None or abs((ang - yaw + 180.0) % 360.0 - 180.0) <= HALF_FOV + EPS:
-                        total += vec
-                        n += 1
-        if n:
-            features[i] = total / n
-        counts[i] = n
-    return PositionFeatureMap(tuple(positions), features, counts)
+        goals = []  # (code, yaw mask), by pitch band and then in object order
+        for category, pitch, ang, _ in sorted(scene.near_objects(x, z), key=_band_rank):
+            if category not in GOAL_SET:
+                continue
+            code = codes.get(category)
+            if code is None:
+                code = codes[category] = len(vecs)
+                vecs.append(provider.object_embedding(category))
+            mask = yaw_masks.get(ang)
+            if mask is None:
+                mask = yaw_masks[ang] = sum(
+                    bit for bit, yaw in zip(_YAW_BITS, YAWS)
+                    if ang is None or abs((ang - yaw + 180.0) % 360.0 - 180.0) <= HALF_FOV + EPS)
+            goals.append((code, mask))
+        key = bytes([code for bit in _YAW_BITS for code, mask in goals if mask & bit])
+        index[i] = rows.setdefault(key, len(rows))
+    features = np.zeros((len(rows), provider.dim))
+    for key, r in rows.items():
+        if key:
+            total = np.zeros(provider.dim)
+            for code in key:
+                total += vecs[code]
+            features[r] = total / len(key)
+    counts = np.array([len(key) for key in rows], dtype=int)
+    return PositionFeatureMap(tuple(positions), features[index], counts[index])
 
 
-def _kmeans_pp_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding. Stops early when every point coincides with a
-    chosen center, so the center count never exceeds the number of distinct
-    feature values."""
-    centers = [x[int(rng.integers(len(x)))]]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of x, in order of first appearance, and the index
+    of each row of x among them. Rows are compared by their bytes."""
+    width = x.itemsize * x.shape[1]
+    raw = x.tobytes()
+    ids: dict[bytes, int] = {}
+    inverse = [ids.setdefault(raw[i * width:(i + 1) * width], len(ids)) for i in range(len(x))]
+    distinct = np.frombuffer(b"".join(ids), dtype=x.dtype).reshape(len(ids), x.shape[1])
+    return distinct, np.array(inverse, dtype=np.intp)
+
+
+def _kmeans_pp_init(ux: np.ndarray, inverse: np.ndarray, m: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of the points ux[inverse]. Stops early when every
+    point coincides with a chosen center, so the center count never exceeds
+    the number of distinct feature values."""
+    centers = [ux[inverse[int(rng.integers(len(inverse)))]]]
+    d2 = np.sum((ux - centers[0]) ** 2, axis=1)
     while len(centers) < m:
-        total = d2.sum()
+        point_d2 = d2[inverse]
+        total = point_d2.sum()
         if total <= 0:
             break
-        idx = int(rng.choice(len(x), p=d2 / total))
-        centers.append(x[idx])
-        d2 = np.minimum(d2, np.sum((x - centers[-1]) ** 2, axis=1))
+        centers.append(ux[inverse[_choice_index(rng, point_d2 / total)]])
+        d2 = np.minimum(d2, np.sum((ux - centers[-1]) ** 2, axis=1))
     return np.array(centers)
 
 
@@ -110,6 +147,20 @@ def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # argmin returns the first (lowest id) center on exact ties
     d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     return np.argmin(d2, axis=1)
+
+
+def _member_means(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the clusters among 0..k-1 that have members, and each
+    one's member mean. One stable sort puts every cluster's members in a
+    contiguous block in position order, so each block's mean is
+    `x[labels == c].mean(axis=0)` bit for bit."""
+    counts = np.bincount(labels, minlength=k)
+    keep = np.flatnonzero(counts)
+    ends = np.cumsum(counts[keep]).tolist()
+    grouped = x[np.argsort(labels, kind="stable")]
+    means = np.array([grouped[start:end].mean(axis=0)
+                      for start, end in zip([0] + ends[:-1], ends)])
+    return keep, means
 
 
 def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> ZoneAssignment:
@@ -120,29 +171,31 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
     if zones < 1:
         raise UsageError("zone count must be >= 1")
     x = feature_map.features
+    # equal rows get equal distances, so distances are taken once per
+    # distinct row (most positions share a row) and the means over all rows
+    ux, inverse = _distinct_rows(x)
     rng = np.random.default_rng(seed & SEED_MASK)
-    centers = _kmeans_pp_init(x, zones, rng)
+    centers = _kmeans_pp_init(ux, inverse, zones, rng)
     if len(centers) < zones:
         log.info("k-means++ produced %d centers for requested %d (duplicate features)",
                  len(centers), zones)
 
     for _ in range(_KMEANS_MAX_ITER):
-        labels = _nearest(x, centers)
-        keep = [k for k in range(len(centers)) if np.any(labels == k)]
+        labels = _nearest(ux, centers)[inverse]
+        keep, new_centers = _member_means(x, labels, len(centers))
         if len(keep) < len(centers):
             log.info("dropping %d empty cluster(s)", len(centers) - len(keep))
-            new_centers = np.array([x[labels == k].mean(axis=0) for k in keep])
-            relabel = {old: new for new, old in enumerate(keep)}
-            labels = np.array([relabel[int(l)] for l in labels])
+            relabel = np.empty(len(centers), dtype=labels.dtype)
+            relabel[keep] = np.arange(len(keep))
+            labels = relabel[labels]
             centers = new_centers
             continue
-        new_centers = np.array([x[labels == k].mean(axis=0) for k in range(len(centers))])
         movement = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         if movement < _KMEANS_TOL:
             break
     # centers are exactly the member means of `labels` at this point
-    assignment = {pos: int(labels[i]) for i, pos in enumerate(feature_map.positions)}
+    assignment = dict(zip(feature_map.positions, labels.tolist()))
     return ZoneAssignment(assignment, centers, len(centers), zones)
 
 
@@ -158,14 +211,20 @@ def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap
         raise UsageError("assignment has empty zones")
     nodes = np.array([feature_map.features[mem].mean(axis=0) for mem in members])
     pos = np.array(feature_map.positions)
-    dist = np.abs(pos[:, None, 0] - pos[None, :, 0]) + np.abs(pos[:, None, 1] - pos[None, :, 1])
-    near = (dist <= eps + _ADJ_TOL).astype(float)
     onehot = np.zeros((len(pos), m))
     for k, mem in enumerate(members):
         onehot[mem, k] = 1.0
     # hits[a, b] counts the pairs of a member of a and a member of b within
-    # eps: integers far below 2**53, so exact whatever the summation order
-    hits = onehot.T @ near @ onehot
+    # eps: integers far below 2**53, so exact whatever the summation order.
+    # A block of rows at a time: an (S, S) distance matrix is too large for
+    # the allocator to reuse, so each one would be fresh, page-faulted memory
+    hits = np.zeros((m, m))
+    block = max(1, _PAIR_BLOCK // len(pos))
+    for start in range(0, len(pos), block):
+        rows = pos[start:start + block]
+        dist = (np.abs(rows[:, None, 0] - pos[None, :, 0])
+                + np.abs(rows[:, None, 1] - pos[None, :, 1]))
+        hits += onehot[start:start + block].T @ (dist <= eps + _ADJ_TOL) @ onehot
     sizes = np.array([len(mem) for mem in members], dtype=float)
     edges = hits / np.outer(sizes, sizes)
     np.fill_diagonal(edges, 1.0)

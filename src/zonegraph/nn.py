@@ -279,17 +279,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def sample_action(rng: np.random.Generator, logits: np.ndarray) -> int:
-    """One draw from softmax(logits) by inverse CDF. This is the arithmetic
-    of Generator.choice(len(p), p=p) and consumes the same single double,
-    so the draw and the generator state after it are those of choice."""
-    p = softmax(logits)
-    p = p / p.sum()
+def _choice_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """One index drawn with the probabilities p by inverse CDF. This is the
+    arithmetic of Generator.choice(len(p), p=p) and consumes the same single
+    double, so the draw and the generator state after it are those of
+    choice."""
     cdf = p.cumsum()
     if not math.isfinite(cdf[-1]):  # a NaN anywhere in p reaches the total
-        raise NonFiniteError(f"non-finite action probabilities {p!r}")
+        raise NonFiniteError(f"non-finite probabilities {p!r}")
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def sample_action(rng: np.random.Generator, logits: np.ndarray) -> int:
+    """One draw from softmax(logits), as Generator.choice would make it."""
+    p = softmax(logits)
+    return _choice_index(rng, p / p.sum())
 
 
 def greedy_action(logits: np.ndarray) -> int:

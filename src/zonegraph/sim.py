@@ -145,12 +145,8 @@ class Scene:
 
     def reachable_cells(self) -> list[tuple[int, int]]:
         """Cells (ix, iz) in deterministic scan order."""
-        out = []
-        for iz in range(self.depth):
-            for ix in range(self.width):
-                if self.reachable[iz, ix]:
-                    out.append((ix, iz))
-        return out
+        return [(ix, iz) for iz, row in enumerate(self.reachable.tolist())
+                for ix, free in enumerate(row) if free]
 
     def categories_present(self) -> set[str]:
         return {o.category for o in self.objects}
@@ -353,24 +349,22 @@ def _load_templates() -> dict[str, list[ZoneTemplate]]:
 
 
 def _connected(reach: np.ndarray) -> bool:
-    cells = np.argwhere(reach)
-    if len(cells) == 0:
+    """Whether the true cells of the bitmap form one 4-connected component;
+    an empty bitmap does not."""
+    grid = reach.tolist()  # Python bools: indexing numpy scalars costs more
+    depth, width = reach.shape
+    cells = [(iz, ix) for iz, row in enumerate(grid) for ix, free in enumerate(row) if free]
+    if not cells:
         return False
-    start = (int(cells[0][0]), int(cells[0][1]))  # (iz, ix)
-    seen = {start}
-    frontier = [start]
+    seen = {cells[0]}
+    frontier = [cells[0]]
     while frontier:
         iz, ix = frontier.pop()
         for dz, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-            c = (iz + dz, ix + dx)
-            if (
-                0 <= c[0] < reach.shape[0]
-                and 0 <= c[1] < reach.shape[1]
-                and reach[c]
-                and c not in seen
-            ):
-                seen.add(c)
-                frontier.append(c)
+            z, x = iz + dz, ix + dx
+            if 0 <= z < depth and 0 <= x < width and grid[z][x] and (z, x) not in seen:
+                seen.add((z, x))
+                frontier.append((z, x))
     return len(seen) == len(cells)
 
 

@@ -35,11 +35,17 @@ def header_fields(lines: list[str], magic: str) -> dict[str, str]:
     return dict(w.split("=", 1) for w in words[1:] if "=" in w)
 
 
+_ROW_CHUNK = 8192  # floats converted to Python floats at a time
+
+
 def float_row(values) -> str:
     """The values, flattened, as space-separated shortest round-trip reprs."""
-    # float by float: `.tolist()` of a checkpoint's 101k-float array would
+    # chunk by chunk: one `.tolist()` converts fast, and a chunk bounds the
+    # Python floats alive at once, where a whole checkpoint array would
     # raise the writer's peak RSS by ~3.5 MB
-    return " ".join(map(repr, map(float, np.asarray(values, dtype=float).reshape(-1))))
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    return " ".join(" ".join(map(repr, flat[i:i + _ROW_CHUNK].tolist()))
+                    for i in range(0, len(flat), _ROW_CHUNK))
 
 
 def parse_floats(parts: list[str], lineno: int, count: int | None = None) -> np.ndarray:

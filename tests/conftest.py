@@ -5,8 +5,9 @@ from hypothesis import settings
 import zonegraph.nn as nn
 from zonegraph.embedding import EmbeddingProvider
 from zonegraph.errors import UsageError
+from zonegraph.graph import ZoneAssignment
 from zonegraph.policy import compose_input
-from zonegraph.sim import CELL, ObjectInstance, Scene
+from zonegraph.sim import CELL, SEED_MASK, ObjectInstance, Scene
 
 # property tests draw the same examples on every run and stay short
 settings.register_profile("zonegraph", derandomize=True, deadline=None, max_examples=60,
@@ -141,6 +142,67 @@ def unfactored_cell_step(params, img, goal_emb, f_gra, prev_action, mask, h, c):
     h2, c2, _, _ = lstm_loop_step(x @ params["lstm_wx"] + params["lstm_b"], params["lstm_wh"],
                                   h, c)
     return h2, c2
+
+
+# ---------------------------------------------------------------------------
+# k-means as a plain loop: Generator.choice draws, distances over every row
+# and one boolean mask per member mean. graph.cluster_zones must match it bit
+# for bit in labels, centers and zone count.
+
+
+def _kmeans_pp_init_reference(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    centers = [x[int(rng.integers(len(x)))]]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    while len(centers) < m:
+        total = d2.sum()
+        if total <= 0:
+            break
+        idx = int(rng.choice(len(x), p=d2 / total))
+        centers.append(x[idx])
+        d2 = np.minimum(d2, np.sum((x - centers[-1]) ** 2, axis=1))
+    return np.array(centers)
+
+
+def _nearest_reference(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def cluster_zones_reference(feature_map, zones: int, seed: int,
+                            max_iter: int = 100) -> ZoneAssignment:
+    """cluster_zones as a plain loop, of at most max_iter Lloyd iterations."""
+    if len(feature_map.positions) == 0:
+        raise UsageError("cannot cluster an empty feature map")
+    if zones < 1:
+        raise UsageError("zone count must be >= 1")
+    x = feature_map.features
+    rng = np.random.default_rng(seed & SEED_MASK)
+    centers = _kmeans_pp_init_reference(x, zones, rng)
+    for _ in range(max_iter):
+        labels = _nearest_reference(x, centers)
+        keep = [k for k in range(len(centers)) if np.any(labels == k)]
+        if len(keep) < len(centers):
+            new_centers = np.array([x[labels == k].mean(axis=0) for k in keep])
+            relabel = {old: new for new, old in enumerate(keep)}
+            labels = np.array([relabel[int(l)] for l in labels])
+            centers = new_centers
+            continue
+        new_centers = np.array([x[labels == k].mean(axis=0) for k in range(len(centers))])
+        movement = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if movement < 1e-6:
+            break
+    assignment = {pos: int(labels[i]) for i, pos in enumerate(feature_map.positions)}
+    return ZoneAssignment(assignment, centers, len(centers), zones)
+
+
+def assert_same_clustering(got: ZoneAssignment, want: ZoneAssignment) -> None:
+    """Bitwise equality: the same labels, as ints, and the same centers."""
+    assert got.assignment == want.assignment
+    assert all(type(label) is int for label in got.assignment.values())
+    assert (got.zone_count, got.requested) == (want.zone_count, want.requested)
+    assert got.centers.shape == want.centers.shape
+    assert got.centers.tobytes() == want.centers.tobytes()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from zonegraph.graph import (
 from zonegraph.categories import GOAL_SET, ROOM_CATEGORIES
 from zonegraph.sim import CELL, PITCHES, YAWS, Pose, generate_scene, visible_objects
 
-from conftest import make_scene
+from conftest import assert_same_clustering, cluster_zones_reference, make_scene
 
 
 def oracle_sweep(scene, provider):
@@ -183,6 +184,19 @@ class TestSweep:
 
 
 class TestCluster:
+    @pytest.fixture(autouse=True)
+    def _checked_against_reference(self, monkeypatch):
+        """Every cluster_zones call in these tests is also held bitwise to
+        the loop reference."""
+        real = cluster_zones
+
+        def checked(feature_map, zones, seed):
+            got = real(feature_map, zones, seed)
+            assert_same_clustering(got, cluster_zones_reference(feature_map, zones, seed))
+            return got
+
+        monkeypatch.setitem(globals(), "cluster_zones", checked)
+
     def test_all_identical_single_zone(self):
         positions = tuple((0.5 * i, 0.0) for i in range(5))
         feats = np.tile([1.0, 2.0], (5, 1))
@@ -242,6 +256,71 @@ class TestCluster:
             members = [i for i, p in enumerate(positions) if za.assignment[p] == z]
             assert members
             np.testing.assert_allclose(za.centers[z], feats[members].mean(axis=0), atol=1e-12)
+
+
+def _line_map(feats) -> PositionFeatureMap:
+    """A feature map of the given rows, at positions along a line."""
+    feats = np.asarray(feats, dtype=float)
+    return PositionFeatureMap(tuple((0.5 * i, 0.0) for i in range(len(feats))), feats,
+                              np.ones(len(feats), dtype=int))
+
+
+class TestClusterMatchesReference:
+    """cluster_zones against the loop reference in tests/conftest.py: the
+    same labels, centers and zone count, bit for bit."""
+
+    @pytest.mark.parametrize("size", [(8, 8), (16, 16)], ids=["8x8", "16x16"])
+    @pytest.mark.parametrize("room", ROOM_CATEGORIES)
+    def test_generated_scenes(self, provider, room, size):
+        for scene_seed in range(4):
+            fmap = sweep_position_features(generate_scene(room, size, scene_seed), provider)
+            for zones, seed in ((8, 0), (8, 1), (3, 5)):
+                assert_same_clustering(cluster_zones(fmap, zones, seed),
+                                       cluster_zones_reference(fmap, zones, seed))
+
+    def test_known_fault_set_with_fewer_centers(self, provider, caplog):
+        # bedroom 8x8 scenes 36-39: scene 38 has 5 distinct features, so
+        # k-means++ stops at 5 centers, and the merged build of the set fails
+        zone_counts = []
+        with caplog.at_level(logging.INFO, logger="zonegraph.graph"):
+            for scene_seed in range(36, 40):
+                fmap = sweep_position_features(generate_scene("bedroom", (8, 8), scene_seed),
+                                               provider)
+                za = cluster_zones(fmap, 8, 0)
+                assert_same_clustering(za, cluster_zones_reference(fmap, 8, 0))
+                zone_counts.append(za.zone_count)
+        assert zone_counts == [8, 8, 5, 8]
+        assert "k-means++ produced 5 centers for requested 8" in caplog.text
+
+    def test_dropped_cluster(self, caplog, monkeypatch):
+        # the second Lloyd iteration empties the middle one of the 3
+        # k-means++ clusters here, so cluster 2 becomes cluster 1. Cut off
+        # at each iteration limit, the iteration that drops it returns its
+        # relabelled members.
+        fmap = _line_map([[0.21472622476331082], [-0.21325393919748534], [0.19614643777033397],
+                          [8.8010857811025e-05], [-0.0035573094968148877],
+                          [0.004376424726178195], [0.299987399800301], [-1.4786436304555446],
+                          [5.545566795671874], [-2.7713050208072847], [-1.9040482479430678],
+                          [4.625859280254818], [1.1558083040645892]])
+        with caplog.at_level(logging.INFO, logger="zonegraph.graph"):
+            za = cluster_zones(fmap, 3, 91)
+        assert "dropping 1 empty cluster(s)" in caplog.text
+        assert za.zone_count == 2
+        assert_same_clustering(za, cluster_zones_reference(fmap, 3, 91))
+        for max_iter in range(1, 5):
+            monkeypatch.setattr("zonegraph.graph._KMEANS_MAX_ITER", max_iter)
+            assert_same_clustering(cluster_zones(fmap, 3, 91),
+                                   cluster_zones_reference(fmap, 3, 91, max_iter))
+
+    def test_random_maps_with_duplicate_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            s, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            distinct = rng.normal(size=(int(rng.integers(1, s + 1)), d))
+            fmap = _line_map(distinct[rng.integers(len(distinct), size=s)])
+            zones, seed = int(rng.integers(1, 9)), int(rng.integers(1000))
+            assert_same_clustering(cluster_zones(fmap, zones, seed),
+                                   cluster_zones_reference(fmap, zones, seed))
 
 
 class TestRoomGraph:

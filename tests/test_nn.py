@@ -252,6 +252,22 @@ class TestSampleAction:
             assert nn.sample_action(ours, logits) == want
         assert ours.bit_generator.state == ref.bit_generator.state
 
+    def test_choice_index_is_generator_choice(self):
+        # the helper that sample_action and the k-means++ seeding share:
+        # arbitrary lengths, zeros included, against choice itself
+        cases = np.random.default_rng(5)
+        ours = np.random.default_rng(77)
+        ref = np.random.default_rng(77)
+        for _ in range(3000):
+            n = int(cases.integers(1, 300))
+            w = cases.random(n) ** float(cases.choice([1.0, 4.0]))
+            w[cases.random(n) < float(cases.choice([0.0, 0.3, 0.9]))] = 0.0
+            if not w.any():
+                w[int(cases.integers(n))] = 1.0
+            p = w / w.sum()
+            assert nn._choice_index(ours, p) == int(ref.choice(len(p), p=p))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_draw_at_the_top_of_the_unit_interval(self):
         # these probabilities accumulate to 1 - 2**-53; without the division
         # by the last cumulative sum, a draw just below 1 would fall past

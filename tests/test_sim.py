@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zonegraph.categories import GOAL_SET, ROOM_CATEGORIES
 from zonegraph.errors import ConfigError, FormatError, GenerationError, UsageError
@@ -18,6 +20,7 @@ from zonegraph.sim import (
     Sighting,
     VIS_RANGE_SQ,
     YAWS,
+    _connected,
     generate_scene,
     goal_visible,
     reset_episode,
@@ -99,6 +102,62 @@ def _visible_objects_reference(scene, pose):
                 continue
         seen.append(Sighting(obj.category, bearing, math.sqrt(d2)))
     return Observation(visible=tuple(seen))
+
+
+def connected_reference(reach: np.ndarray) -> bool:
+    """sim._connected as a flood fill that indexes the numpy bitmap cell by
+    cell: the oracle for the one over Python lists."""
+    cells = np.argwhere(reach)
+    if len(cells) == 0:
+        return False
+    start = (int(cells[0][0]), int(cells[0][1]))  # (iz, ix)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        iz, ix = frontier.pop()
+        for dz, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+            c = (iz + dz, ix + dx)
+            if (
+                0 <= c[0] < reach.shape[0]
+                and 0 <= c[1] < reach.shape[1]
+                and reach[c]
+                and c not in seen
+            ):
+                seen.add(c)
+                frontier.append(c)
+    return len(seen) == len(cells)
+
+
+class TestConnected:
+    @pytest.mark.parametrize("reach, want", [
+        (np.zeros((0, 0), dtype=bool), False),
+        (np.zeros((5, 7), dtype=bool), False),
+        (np.ones((1, 1), dtype=bool), True),
+        (np.eye(1, 9, 4, dtype=bool), True),
+        (np.ones((16, 16), dtype=bool), True),
+        (np.indices((4, 4)).sum(axis=0) % 2 == 0, False),
+        (np.indices((1, 2)).sum(axis=0) % 2 == 0, True),
+        (np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]], dtype=bool), True),
+        (np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=bool), True),
+        (np.array([[1, 0, 1], [1, 0, 1], [1, 0, 1]], dtype=bool), False),
+    ], ids=["0x0", "all-false", "single-cell", "one-of-a-row", "all-true", "checkerboard",
+            "checkerboard-1x2", "snake", "u-shape", "two-columns"])
+    def test_cases(self, reach, want):
+        assert _connected(reach) is want
+        assert connected_reference(reach) is want
+
+    @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                  elements=st.booleans()))
+    def test_equals_reference(self, reach):
+        assert _connected(reach) is connected_reference(reach)
+
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.3, 0.9))
+    def test_equals_reference_on_dense_bitmaps(self, depth, width, seed, density):
+        # a random bitmap of either kind is mostly disconnected; dense ones
+        # exercise the connected answer too
+        reach = np.random.default_rng(seed).random((depth, width)) < density
+        assert _connected(reach) is connected_reference(reach)
 
 
 class TestGeneration:

@@ -43,6 +43,11 @@ class TestCodec:
         assert float_row(np.array([[1.0, 2.0], [3.0, 4.0]])) == "1.0 2.0 3.0 4.0"
         assert float_row(0.99) == "0.99"
 
+    @pytest.mark.parametrize("size", [8191, 8192, 8193, 20000])
+    def test_float_row_across_chunks(self, size):
+        values = np.random.default_rng(size).normal(size=size) * 10.0 ** (np.arange(size) % 600 - 300)
+        assert float_row(values) == " ".join(repr(float(v)) for v in values)
+
     @given(arrays(np.float64, st.integers(0, 20), elements=FINITE))
     def test_float_row_round_trips_bitwise(self, values):
         back = parse_floats(float_row(values).split(), 1)
