@@ -35,19 +35,28 @@ _KMEANS_TOL = 1e-6
 
 @dataclass
 class PositionFeatureMap:
-    """Per-position mean detection embedding from the exhaustive sweep."""
+    """Per-position mean detection embedding from the exhaustive sweep.
+    Positions that detect the same ordered sequence share one row."""
 
     positions: tuple[tuple[float, float], ...]  # sorted (x, z)
-    features: np.ndarray  # (S, D)
+    rows: np.ndarray  # (U, D) one feature per distinct detection sequence
+    index: np.ndarray  # (S,) each position's row
     counts: np.ndarray  # (S,) detection counts
+
+    @property
+    def features(self) -> np.ndarray:
+        """(S, D) each position's feature."""
+        return self.rows[self.index]
 
 
 @dataclass
 class ZoneAssignment:
-    assignment: dict[tuple[float, float], int]  # position -> zone id
+    labels: np.ndarray  # (S,) intp zone id of each position, in positions order
     centers: np.ndarray  # (M, D) member means
-    zone_count: int
-    requested: int
+
+    @property
+    def zone_count(self) -> int:
+        return len(self.centers)
 
 
 @dataclass
@@ -112,18 +121,7 @@ def sweep_position_features(scene: Scene, provider: EmbeddingProvider) -> Positi
                 total += vecs[code]
             features[r] = total / len(key)
     counts = np.array([len(key) for key in rows], dtype=int)
-    return PositionFeatureMap(tuple(positions), features[index], counts[index])
-
-
-def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of x, in order of first appearance, and the index
-    of each row of x among them. Rows are compared by their bytes."""
-    width = x.itemsize * x.shape[1]
-    raw = x.tobytes()
-    ids: dict[bytes, int] = {}
-    inverse = [ids.setdefault(raw[i * width:(i + 1) * width], len(ids)) for i in range(len(x))]
-    distinct = np.frombuffer(b"".join(ids), dtype=x.dtype).reshape(len(ids), x.shape[1])
-    return distinct, np.array(inverse, dtype=np.intp)
+    return PositionFeatureMap(tuple(positions), features, index, counts[index])
 
 
 def _kmeans_pp_init(ux: np.ndarray, inverse: np.ndarray, m: int,
@@ -170,10 +168,11 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
         raise UsageError("cannot cluster an empty feature map")
     if zones < 1:
         raise UsageError("zone count must be >= 1")
+    # distances are taken once per row of the map (most positions share a
+    # row); the draws, the labels and the means go over every position.
+    # Two rows may hold equal values, which then get equal distances
+    ux, inverse = feature_map.rows, feature_map.index
     x = feature_map.features
-    # equal rows get equal distances, so distances are taken once per
-    # distinct row (most positions share a row) and the means over all rows
-    ux, inverse = _distinct_rows(x)
     rng = np.random.default_rng(seed & SEED_MASK)
     centers = _kmeans_pp_init(ux, inverse, zones, rng)
     if len(centers) < zones:
@@ -195,25 +194,19 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
         if movement < _KMEANS_TOL:
             break
     # centers are exactly the member means of `labels` at this point
-    assignment = dict(zip(feature_map.positions, labels.tolist()))
-    return ZoneAssignment(assignment, centers, len(centers), zones)
+    return ZoneAssignment(labels, centers)
 
 
 def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap,
                      eps: float = DEFAULT_EPS, room_category: str = "") -> KnowledgeGraph:
     """Zone node = mean member feature; edge (m, n) = fraction of cross-zone
     position pairs within Manhattan distance eps; diagonal fixed at 1."""
-    m = assignment.zone_count
-    members: list[list[int]] = [[] for _ in range(m)]
-    for i, pos in enumerate(feature_map.positions):
-        members[assignment.assignment[pos]].append(i)
-    if any(not mem for mem in members):
+    m, labels = assignment.zone_count, assignment.labels
+    keep, nodes = _member_means(feature_map.features, labels, m)
+    if len(keep) < m:
         raise UsageError("assignment has empty zones")
-    nodes = np.array([feature_map.features[mem].mean(axis=0) for mem in members])
     pos = np.array(feature_map.positions)
-    onehot = np.zeros((len(pos), m))
-    for k, mem in enumerate(members):
-        onehot[mem, k] = 1.0
+    onehot = np.eye(m)[labels]
     # hits[a, b] counts the pairs of a member of a and a member of b within
     # eps: integers far below 2**53, so exact whatever the summation order.
     # A block of rows at a time: an (S, S) distance matrix is too large for
@@ -225,7 +218,7 @@ def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap
         dist = (np.abs(rows[:, None, 0] - pos[None, :, 0])
                 + np.abs(rows[:, None, 1] - pos[None, :, 1]))
         hits += onehot[start:start + block].T @ (dist <= eps + _ADJ_TOL) @ onehot
-    sizes = np.array([len(mem) for mem in members], dtype=float)
+    sizes = np.bincount(labels, minlength=m)
     edges = hits / np.outer(sizes, sizes)
     np.fill_diagonal(edges, 1.0)
     return KnowledgeGraph(nodes=nodes, edges=edges, room_category=room_category)

@@ -26,7 +26,6 @@ class EpisodeRecord:
     steps: int
     goal: str
     scene_id: str
-    seed: int
 
 
 @dataclass
@@ -137,7 +136,6 @@ def run_eval_episode(scene: Scene, goal: str, reset_seed: int, params, graph, pr
         steps=state.step_count,
         goal=goal,
         scene_id=scene.id,
-        seed=reset_seed,
     )
 
 

@@ -334,9 +334,7 @@ def a2c_update(trajectories: list[Trajectory], params: nn.Params, adam: nn.AdamS
 class TrainResult:
     params: nn.Params
     goal_log: Counter
-    stats: list[dict]
     episodes_run: int
-    skipped_updates: int
     final_sr_1000: float
 
 
@@ -360,7 +358,7 @@ def _allowed_goals_by_scene(scenes: list[Scene], allowed_goals) -> dict[str, lis
 
 def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
           provider: EmbeddingProvider, allowed_goals=None, hidden: int = nn.DEFAULT_HIDDEN,
-          stats_every: int = 100, stats_sink=None, params: nn.Params | None = None) -> TrainResult:
+          stats_every: int = 100, stats_sink=None) -> TrainResult:
     """Train the policy with synchronous A2C. Each round rolls `workers`
     episodes with the pre-update parameters, sums their gradients in
     worker-index order and applies one optimizer step, which makes runs
@@ -369,11 +367,9 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
     if not scenes:
         raise ConfigError("no training scenes")
     goals_by_scene = _allowed_goals_by_scene(scenes, allowed_goals)
-    if params is None:
-        params = nn.init_params(provider.dim, graph.feature_dim, hidden, seed=config.seed)
+    params = nn.init_params(provider.dim, graph.feature_dim, hidden, seed=config.seed)
     adam = nn.AdamState(params)
     goal_log: Counter = Counter()
-    stats: list[dict] = []
     sr_1000: deque = deque(maxlen=1000)
     rew_100: deque = deque(maxlen=100)
     len_100: deque = deque(maxlen=100)
@@ -395,8 +391,8 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
         len_100.append(traj.length)
         if update_stats.get("skipped"):
             skipped += 1
-        if (episode + 1) % stats_every == 0:
-            rec = {
+        if stats_sink is not None and (episode + 1) % stats_every == 0:
+            stats_sink({
                 "episode": episode + 1,
                 "sr_1000": float(np.mean(sr_1000)),
                 "mean_reward_100": float(np.mean(rew_100)),
@@ -404,10 +400,7 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
                 "loss": update_stats.get("loss", float("nan")),
                 "entropy": update_stats.get("entropy", float("nan")),
                 "skipped_updates": skipped,
-            }
-            stats.append(rec)
-            if stats_sink is not None:
-                stats_sink(rec)
+            })
 
     episode = 0
     while episode < config.episodes:
@@ -421,8 +414,6 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
     return TrainResult(
         params=params,
         goal_log=goal_log,
-        stats=stats,
         episodes_run=config.episodes,
-        skipped_updates=skipped,
         final_sr_1000=float(np.mean(sr_1000)) if sr_1000 else 0.0,
     )

@@ -157,15 +157,13 @@ def check_position_feature_algebra() -> tuple[bool, str]:
 def check_zone_and_edge_algebra() -> tuple[bool, str]:
     positions = ((0.0, 0.0), (0.0, 0.5), (0.0, 2.0))
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
-    fmap = PositionFeatureMap(positions, feats, np.array([1, 1, 1]))
-    za = ZoneAssignment({positions[0]: 0, positions[1]: 0, positions[2]: 1},
-                        np.array([[0.5, 0.5], [3.0, 3.0]]), 2, 2)
+    fmap = PositionFeatureMap(positions, feats, np.arange(3), np.array([1, 1, 1]))
+    za = ZoneAssignment(np.array([0, 0, 1]), np.array([[0.5, 0.5], [3.0, 3.0]]))
     g = build_room_graph(za, fmap, eps=0.5)
     node_ok = np.allclose(g.nodes[0], [0.5, 0.5], atol=1e-12)
     # cross pairs: (p0,p2) dist 2.0, (p1,p2) dist 1.5 -> none adjacent
     edge_ok = g.edges[0, 1] == 0.0 and g.edges[0, 0] == 1.0
-    za2 = ZoneAssignment({positions[0]: 0, positions[1]: 1, positions[2]: 1},
-                         np.array([[1.0, 0.0], [1.5, 2.0]]), 2, 2)
+    za2 = ZoneAssignment(np.array([0, 1, 1]), np.array([[1.0, 0.0], [1.5, 2.0]]))
     g2 = build_room_graph(za2, fmap, eps=0.5)
     # (p0,p1) adjacent at 0.5; (p0,p2) not -> 1/2
     edge_ok = edge_ok and abs(g2.edges[0, 1] - 0.5) < 1e-12

@@ -192,15 +192,14 @@ def cluster_zones_reference(feature_map, zones: int, seed: int,
         centers = new_centers
         if movement < 1e-6:
             break
-    assignment = {pos: int(labels[i]) for i, pos in enumerate(feature_map.positions)}
-    return ZoneAssignment(assignment, centers, len(centers), zones)
+    return ZoneAssignment(labels, centers)
 
 
 def assert_same_clustering(got: ZoneAssignment, want: ZoneAssignment) -> None:
-    """Bitwise equality: the same labels, as ints, and the same centers."""
-    assert got.assignment == want.assignment
-    assert all(type(label) is int for label in got.assignment.values())
-    assert (got.zone_count, got.requested) == (want.zone_count, want.requested)
+    """Bitwise equality: the same labels, as intp, and the same centers."""
+    assert got.labels.dtype == want.labels.dtype == np.intp
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.zone_count == want.zone_count
     assert got.centers.shape == want.centers.shape
     assert got.centers.tobytes() == want.centers.tobytes()
 

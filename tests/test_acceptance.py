@@ -86,25 +86,25 @@ def test_criterion_1_equation_algebra():
     # zone means
     positions = ((0.0, 0.0), (0.5, 0.0), (2.0, 0.0))
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 4.0]])
-    pf = PositionFeatureMap(positions, feats, np.array([1, 1, 1]))
-    za = ZoneAssignment({positions[0]: 0, positions[1]: 0, positions[2]: 1},
-                        np.array([[0.5, 0.5], [4.0, 4.0]]), 2, 2)
+    pf = PositionFeatureMap(positions, feats, np.arange(3), np.array([1, 1, 1]))
+    za = ZoneAssignment(np.array([0, 0, 1]), np.array([[0.5, 0.5], [4.0, 4.0]]))
     g = build_room_graph(za, pf, eps=0.5)
     dev = max(dev, float(np.max(np.abs(g.nodes[0] - [0.5, 0.5]))))
     dev = max(dev, float(np.max(np.abs(g.nodes[1] - [4.0, 4.0]))))
 
     # edge probabilities: adjacent / far / mixed = 1.0 / 0.0 / 0.5
     p1, p2 = (0.0, 0.0), (0.5, 0.0)
-    pf2 = PositionFeatureMap((p1, p2), np.array([[1.0], [2.0]]), np.array([1, 1]))
-    za2 = ZoneAssignment({p1: 0, p2: 1}, np.array([[1.0], [2.0]]), 2, 2)
+    pf2 = PositionFeatureMap((p1, p2), np.array([[1.0], [2.0]]), np.arange(2), np.array([1, 1]))
+    za2 = ZoneAssignment(np.array([0, 1]), np.array([[1.0], [2.0]]))
     dev = max(dev, abs(build_room_graph(za2, pf2, eps=0.5).edges[0, 1] - 1.0))
     p3 = (1.5, 0.0)
-    pf3 = PositionFeatureMap((p1, p3), np.array([[1.0], [2.0]]), np.array([1, 1]))
-    za3 = ZoneAssignment({p1: 0, p3: 1}, np.array([[1.0], [2.0]]), 2, 2)
+    pf3 = PositionFeatureMap((p1, p3), np.array([[1.0], [2.0]]), np.arange(2), np.array([1, 1]))
+    za3 = ZoneAssignment(np.array([0, 1]), np.array([[1.0], [2.0]]))
     dev = max(dev, abs(build_room_graph(za3, pf3, eps=0.5).edges[0, 1] - 0.0))
     a1, a2, b1 = (0.0, 0.0), (0.0, 2.0), (0.5, 0.0)
-    pf4 = PositionFeatureMap((a1, a2, b1), np.array([[1.0], [1.0], [2.0]]), np.array([1] * 3))
-    za4 = ZoneAssignment({a1: 0, a2: 0, b1: 1}, np.array([[1.0], [2.0]]), 2, 2)
+    pf4 = PositionFeatureMap((a1, a2, b1), np.array([[1.0], [1.0], [2.0]]), np.arange(3),
+                             np.array([1] * 3))
+    za4 = ZoneAssignment(np.array([0, 0, 1]), np.array([[1.0], [2.0]]))
     dev = max(dev, abs(build_room_graph(za4, pf4, eps=0.5).edges[0, 1] - 0.5))
 
     # adaptation row update for lambda in {0, 0.3, 1}
@@ -228,7 +228,7 @@ def test_criterion_2_pipeline_vs_oracle():
 
         za = cluster_zones(fmap, 2, seed=0)
         olabels, ocenters = _oracle_kmeans(fmap.features, 2, seed=0)
-        impl = [za.assignment[p] for p in fmap.positions]
+        impl = za.labels.tolist()
         # identical up to label permutation (bijective relabeling)
         mapping = {}
         ok_perm = len(set(olabels)) == za.zone_count

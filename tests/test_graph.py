@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zonegraph.errors import FormatError, UsageError
 from zonegraph.graph import (
@@ -75,7 +77,7 @@ def _sweep_reference(scene, provider):
         if n:
             features[i] = total / n
         counts[i] = n
-    return PositionFeatureMap(tuple(positions), features, counts)
+    return PositionFeatureMap(tuple(positions), features, np.arange(len(positions)), counts)
 
 
 def pair_loop_edges(assignment, feature_map, eps):
@@ -83,8 +85,8 @@ def pair_loop_edges(assignment, feature_map, eps):
     within Manhattan distance eps, one pair at a time."""
     m = assignment.zone_count
     members = [[] for _ in range(m)]
-    for i, pos in enumerate(feature_map.positions):
-        members[assignment.assignment[pos]].append(i)
+    for i, label in enumerate(assignment.labels):
+        members[label].append(i)
     edges = np.eye(m)
     pos = feature_map.positions
     for a in range(m):
@@ -200,10 +202,10 @@ class TestCluster:
     def test_all_identical_single_zone(self):
         positions = tuple((0.5 * i, 0.0) for i in range(5))
         feats = np.tile([1.0, 2.0], (5, 1))
-        fmap = PositionFeatureMap(positions, feats, np.ones(5, dtype=int))
+        fmap = PositionFeatureMap(positions, feats, np.arange(5), np.ones(5, dtype=int))
         za = cluster_zones(fmap, 1, seed=0)
         assert za.zone_count == 1
-        assert set(za.assignment.values()) == {0}
+        assert set(za.labels.tolist()) == {0}
         np.testing.assert_allclose(za.centers[0], [1.0, 2.0])
 
     def test_two_separated_clusters_match_exhaustive_oracle(self, small_provider):
@@ -220,40 +222,41 @@ class TestCluster:
             truth.append(which)
             positions.append((0.5 * i, 0.0))
         x = np.array(feats)
-        fmap = PositionFeatureMap(tuple(positions), x, np.ones(10, dtype=int))
+        fmap = PositionFeatureMap(tuple(positions), x, np.arange(10), np.ones(10, dtype=int))
         za = cluster_zones(fmap, 2, seed=0)
-        labels = np.array([za.assignment[p] for p in positions])
+        labels = za.labels
         # ground-truth partition up to label swap
         assert (labels == truth).all() or (labels == 1 - np.array(truth)).all()
         best_obj, _ = best_two_partition(x)
         assert kmeans_objective(x, labels, 2) == pytest.approx(best_obj, abs=1e-9)
 
-    def test_more_zones_than_distinct_values_drops(self):
+    def test_more_zones_than_distinct_values_drops(self, caplog):
         positions = tuple((0.5 * i, 0.0) for i in range(6))
         feats = np.array([[float(i % 2), 0.0] for i in range(6)])
-        fmap = PositionFeatureMap(positions, feats, np.ones(6, dtype=int))
-        za = cluster_zones(fmap, 5, seed=3)
+        fmap = PositionFeatureMap(positions, feats, np.arange(6), np.ones(6, dtype=int))
+        with caplog.at_level(logging.INFO, logger="zonegraph.graph"):
+            za = cluster_zones(fmap, 5, seed=3)
         assert za.zone_count == 2
-        assert za.requested == 5
+        assert "k-means++ produced 2 centers for requested 5" in caplog.text
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(0)
         positions = tuple((0.5 * i, 0.0) for i in range(12))
         feats = rng.normal(size=(12, 4))
-        fmap = PositionFeatureMap(positions, feats, np.ones(12, dtype=int))
+        fmap = PositionFeatureMap(positions, feats, np.arange(12), np.ones(12, dtype=int))
         a = cluster_zones(fmap, 3, seed=42)
         b = cluster_zones(fmap, 3, seed=42)
-        assert a.assignment == b.assignment
+        np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.centers, b.centers)
 
     def test_centers_are_member_means(self):
         rng = np.random.default_rng(1)
         positions = tuple((0.5 * i, 0.5 * (i % 3)) for i in range(15))
         feats = rng.normal(size=(15, 3))
-        fmap = PositionFeatureMap(positions, feats, np.ones(15, dtype=int))
+        fmap = PositionFeatureMap(positions, feats, np.arange(15), np.ones(15, dtype=int))
         za = cluster_zones(fmap, 4, seed=7)
         for z in range(za.zone_count):
-            members = [i for i, p in enumerate(positions) if za.assignment[p] == z]
+            members = [i for i in range(len(positions)) if za.labels[i] == z]
             assert members
             np.testing.assert_allclose(za.centers[z], feats[members].mean(axis=0), atol=1e-12)
 
@@ -262,7 +265,7 @@ def _line_map(feats) -> PositionFeatureMap:
     """A feature map of the given rows, at positions along a line."""
     feats = np.asarray(feats, dtype=float)
     return PositionFeatureMap(tuple((0.5 * i, 0.0) for i in range(len(feats))), feats,
-                              np.ones(len(feats), dtype=int))
+                              np.arange(len(feats)), np.ones(len(feats), dtype=int))
 
 
 class TestClusterMatchesReference:
@@ -322,16 +325,35 @@ class TestClusterMatchesReference:
             assert_same_clustering(cluster_zones(fmap, zones, seed),
                                    cluster_zones_reference(fmap, zones, seed))
 
+    @given(rows=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 3)),
+                       elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0])
+                       | st.floats(-4.0, 4.0)),
+           data=st.data(), zones=st.integers(1, 8), seed=st.integers(0, 2**32))
+    def test_grouped_rows_cluster_as_one_row_per_position(self, rows, data, zones, seed):
+        # the sweep's index groups positions by detection sequence, and two
+        # sequences may average to bitwise-equal rows: the last row repeats
+        # the first under a second id
+        rows = np.concatenate([rows, rows[:1]])
+        index = data.draw(arrays(np.intp, st.integers(1, 40),
+                                 elements=st.integers(0, len(rows) - 1)))
+        positions = tuple((0.5 * i, 0.0) for i in range(len(index)))
+        counts = np.ones(len(index), dtype=int)
+        grouped = PositionFeatureMap(positions, rows, index, counts)
+        flat = PositionFeatureMap(positions, rows[index], np.arange(len(index)), counts)
+        got = cluster_zones(grouped, zones, seed)
+        assert_same_clustering(got, cluster_zones(flat, zones, seed))
+        assert_same_clustering(got, cluster_zones_reference(grouped, zones, seed))
+
 
 class TestRoomGraph:
     def _fmap(self, positions, feats):
         return PositionFeatureMap(tuple(positions), np.asarray(feats, dtype=float),
-                                  np.ones(len(positions), dtype=int))
+                                  np.arange(len(positions)), np.ones(len(positions), dtype=int))
 
     def test_adjacent_singletons_edge_one(self):
         positions = [(0.0, 0.0), (0.5, 0.0)]
         fmap = self._fmap(positions, [[1.0], [2.0]])
-        za = ZoneAssignment({positions[0]: 0, positions[1]: 1}, np.array([[1.0], [2.0]]), 2, 2)
+        za = ZoneAssignment(np.array([0, 1]), np.array([[1.0], [2.0]]))
         g = build_room_graph(za, fmap, eps=0.5)
         assert g.edges[0, 1] == 1.0 and g.edges[1, 0] == 1.0
         assert g.edges[0, 0] == 1.0 and g.edges[1, 1] == 1.0
@@ -339,7 +361,7 @@ class TestRoomGraph:
     def test_far_singletons_edge_zero(self):
         positions = [(0.0, 0.0), (1.5, 0.0)]
         fmap = self._fmap(positions, [[1.0], [2.0]])
-        za = ZoneAssignment({positions[0]: 0, positions[1]: 1}, np.array([[1.0], [2.0]]), 2, 2)
+        za = ZoneAssignment(np.array([0, 1]), np.array([[1.0], [2.0]]))
         g = build_room_graph(za, fmap, eps=0.5)
         assert g.edges[0, 1] == 0.0
 
@@ -347,7 +369,7 @@ class TestRoomGraph:
         # zone A = {a1, a2}, zone B = {b1}; only (a1, b1) adjacent -> 1/2
         a1, a2, b1 = (0.0, 0.0), (0.0, 2.0), (0.5, 0.0)
         fmap = self._fmap([a1, a2, b1], [[1.0], [1.0], [2.0]])
-        za = ZoneAssignment({a1: 0, a2: 0, b1: 1}, np.array([[1.0], [2.0]]), 2, 2)
+        za = ZoneAssignment(np.array([0, 0, 1]), np.array([[1.0], [2.0]]))
         g = build_room_graph(za, fmap, eps=0.5)
         assert g.edges[0, 1] == pytest.approx(0.5, abs=1e-15)
 
@@ -356,8 +378,7 @@ class TestRoomGraph:
         positions = [(0.5 * i, 0.0) for i in range(6)]
         feats = rng.normal(size=(6, 4))
         fmap = self._fmap(positions, feats)
-        assignment = {p: (0 if i < 4 else 1) for i, p in enumerate(positions)}
-        za = ZoneAssignment(assignment, np.zeros((2, 4)), 2, 2)
+        za = ZoneAssignment(np.array([0, 0, 0, 0, 1, 1]), np.zeros((2, 4)))
         g = build_room_graph(za, fmap, eps=0.5)
         np.testing.assert_allclose(g.nodes[0], feats[:4].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(g.nodes[1], feats[4:].mean(axis=0), atol=1e-12)
@@ -365,6 +386,12 @@ class TestRoomGraph:
         fmap2 = self._fmap(positions, feats * 2.5)
         g2 = build_room_graph(za, fmap2, eps=0.5)
         np.testing.assert_allclose(g2.nodes, g.nodes * 2.5, atol=1e-12)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 2], [1, 1, 1]])
+    def test_empty_zone_rejected(self, labels):
+        fmap = self._fmap([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], [[1.0], [2.0], [3.0]])
+        with pytest.raises(UsageError, match="empty zones"):
+            build_room_graph(ZoneAssignment(np.array(labels), np.zeros((3, 1))), fmap)
 
     def test_edge_bounds_and_symmetry_random(self):
         rng = np.random.default_rng(5)
@@ -376,7 +403,7 @@ class TestRoomGraph:
             fmap = self._fmap(positions, feats)
             m = min(3, len(positions))
             labels = [i % m for i in range(len(positions))]
-            za = ZoneAssignment(dict(zip(positions, labels)), np.zeros((m, 3)), m, m)
+            za = ZoneAssignment(np.array(labels), np.zeros((m, 3)))
             g = build_room_graph(za, fmap, eps=0.5)
             assert np.allclose(g.edges, g.edges.T)
             assert np.all(np.diag(g.edges) == 1.0)
@@ -507,7 +534,7 @@ class TestEndToEnd:
             np.testing.assert_allclose(fmap.features[i], oracle[pos][0], atol=1e-12)
         za = cluster_zones(fmap, 2, seed=0)
         best_obj, _ = best_two_partition(fmap.features)
-        labels = np.array([za.assignment[p] for p in fmap.positions])
+        labels = za.labels
         assert kmeans_objective(fmap.features, labels, za.zone_count) == pytest.approx(
             best_obj, abs=1e-9
         )
@@ -518,8 +545,8 @@ class TestEndToEnd:
                 if a == b:
                     assert g.edges[a, b] == 1.0
                     continue
-                mem_a = [p for p in fmap.positions if za.assignment[p] == a]
-                mem_b = [p for p in fmap.positions if za.assignment[p] == b]
+                mem_a = [p for p, label in zip(fmap.positions, za.labels) if label == a]
+                mem_b = [p for p, label in zip(fmap.positions, za.labels) if label == b]
                 hits = sum(
                     1
                     for pa in mem_a
@@ -529,7 +556,7 @@ class TestEndToEnd:
                 assert g.edges[a, b] == pytest.approx(hits / (len(mem_a) * len(mem_b)), abs=1e-12)
         # node recomputation
         for z in range(g.zone_count):
-            mem = [i for i, p in enumerate(fmap.positions) if za.assignment[p] == z]
+            mem = [i for i in range(len(fmap.positions)) if za.labels[i] == z]
             np.testing.assert_allclose(g.nodes[z], fmap.features[mem].mean(axis=0), atol=1e-12)
 
 

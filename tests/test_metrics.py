@@ -27,7 +27,7 @@ from conftest import make_scene
 
 def record(success, p, l, d=0.0, goal="Sink"):
     return EpisodeRecord(success=success, path_length=p, shortest_length=l,
-                         final_dts=d, steps=1, goal=goal, scene_id="s", seed=0)
+                         final_dts=d, steps=1, goal=goal, scene_id="s")
 
 
 class TestJudge:
