@@ -5,7 +5,7 @@ SR/SPL/DTS evaluation harness."""
 __version__ = "0.1.0"
 
 from .categories import GOAL_CATEGORIES, ROOM_CATEGORIES, ZERO_SHOT_TEST_GOALS
-from .embedding import EmbeddingProvider, image_feature, load_embeddings, observation_feature, pooled_image_feature, save_embeddings
+from .embedding import EmbeddingProvider, load_embeddings, observation_feature, pooled_image_feature, save_embeddings
 from .graph import KnowledgeGraph, build_scene_graph, cluster_zones, match_graphs, merge_graphs, sweep_position_features
 from .metrics import evaluate, general_split, zero_shot_split
 from .policy import TrainConfig, a2c_update, compose_input, reward, rollout, train
@@ -16,7 +16,6 @@ __all__ = [
     "ROOM_CATEGORIES",
     "ZERO_SHOT_TEST_GOALS",
     "EmbeddingProvider",
-    "image_feature",
     "load_embeddings",
     "save_embeddings",
     "observation_feature",

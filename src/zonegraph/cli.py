@@ -51,6 +51,13 @@ class Config:
     hidden: int = nn.DEFAULT_HIDDEN
     stats_every: int = 100
 
+    def validate(self) -> None:
+        """Raise ConfigError unless every value is one that training can use."""
+        if self.hidden < 1 or self.stats_every < 1 or self.embedding.dim < 1:
+            raise ConfigError("hidden >= 1, stats_every >= 1 and embedding.dim >= 1 required, "
+                              f"got {self.hidden}, {self.stats_every} and {self.embedding.dim}")
+        self.train.validate()
+
 
 _SECTIONS = {
     "embedding": ("embedding", EmbeddingCfg),
@@ -252,6 +259,7 @@ def cmd_train(args) -> int:
         cfg.train.workers = args.workers
     if args.split is not None:
         cfg.split = args.split
+    cfg.validate()
 
     scenes = _load_scene_dir(args.scenes)
     graph = load_graph(args.graph)

@@ -84,33 +84,17 @@ def _unit_mean(total: np.ndarray, count) -> np.ndarray:
     return cell
 
 
-def image_feature(provider: EmbeddingProvider, observation: Observation,
-                  grid: int = DEFAULT_GRID) -> np.ndarray:
-    """Splat visible objects into a G x G x D grid.
-
-    Column index bins bearing over [-45, +45]; row index bins distance over
-    [0, 1.5]. Cells holding several objects average their embeddings and
-    renormalize; empty cells stay exactly zero.
-    """
-    g = int(grid)
-    out = np.zeros((g, g, provider.dim))
-    counts = np.zeros((g, g), dtype=int)
-    for s in observation.visible:
-        row, col = _grid_cell(s, g)
-        out[row, col] += provider.object_embedding(s.category)
-        counts[row, col] += 1
-    for row, col in zip(*np.nonzero(counts)):
-        out[row, col] = _unit_mean(out[row, col], counts[row, col])
-    return out
-
-
 def pooled_image_feature(provider: EmbeddingProvider, observation: Observation,
                          grid: int = DEFAULT_GRID) -> np.ndarray:
-    """image_feature(...).mean(axis=(0, 1)) without the G x G x D grid.
+    """The mean over the cells of a G x G grid into which the visible
+    objects are splatted, without building the grid.
 
-    The occupied cells are summed in row-major order and the sum divided by
-    G*G, which is the order and the arithmetic of the grid mean; the empty
-    cells it also adds are exact zeros. The result is bitwise the same.
+    A sighting's column bins its bearing over [-45, +45] and its row bins
+    its distance over [0, 1.5]. A cell holding several objects averages
+    their embeddings and renormalizes; empty cells are exact zeros. The
+    occupied cells are summed in row-major order and the sum divided by
+    G*G, which is the order and the arithmetic of the grid mean, so the
+    result is bitwise that mean.
     """
     g = int(grid)
     cells: dict[tuple[int, int], list] = {}

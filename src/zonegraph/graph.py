@@ -10,6 +10,7 @@ node cosine similarity and merged by averaging.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from .embedding import EmbeddingProvider
 from .errors import FormatError, UsageError
 from .nn import _choice_index
-from .sim import CELL, EPS, HALF_FOV, PITCHES, SEED_MASK, YAWS, Scene
+from .sim import BAND_PITCH, CELL, EPS, HALF_FOV, PITCHES, SEED_MASK, YAWS, Scene, near_geometry
 from .categories import GOAL_SET
 from .textio import float_row, header_fields, parse_floats, read_text, write_text
 
@@ -28,7 +29,6 @@ log = logging.getLogger(__name__)
 DEFAULT_ZONES = 8
 DEFAULT_EPS = 0.5  # meters; Manhattan adjacency threshold (one grid step)
 _ADJ_TOL = 1e-9
-_PAIR_BLOCK = 8192  # position pairs in one block of build_room_graph's distances
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-6
 
@@ -74,12 +74,33 @@ class KnowledgeGraph:
         return self.nodes.shape[1]
 
 
-_YAW_BITS = tuple(1 << y for y in range(len(YAWS)))
+_YAW_BITS = np.array([1 << y for y in range(len(YAWS))], dtype=np.uint8)
 _PITCH_RANK = {pitch: r for r, pitch in enumerate(PITCHES)}
 
 
-def _band_rank(near: tuple) -> int:
-    return _PITCH_RANK[near[1]]
+@functools.lru_cache(maxsize=256)  # the lattice offsets have 33 distinct angles
+def _yaw_mask(angle: float | None) -> int:
+    """Bit y set iff visible_objects' field-of-view test passes at YAWS[y]
+    for an object in direction `angle` (None: at every yaw)."""
+    return sum(1 << y for y, yaw in enumerate(YAWS)
+               if angle is None or abs((angle - yaw + 180.0) % 360.0 - 180.0) <= HALF_FOV + EPS)
+
+
+def _first_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of the 2-D uint8 array `a` by their bytes.
+    Returns the index of each group's first row, groups in order of first
+    appearance, and each row's group. (`np.unique` over a void view of the
+    rows is no faster here, and its first call grows peak RSS.)"""
+    width, buf = a.shape[1], a.tobytes()
+    groups: dict[bytes, int] = {}
+    first: list[int] = []
+    index: list[int] = []
+    for i in range(len(a)):
+        group = groups.setdefault(buf[i * width:(i + 1) * width], len(first))
+        if group == len(first):
+            first.append(i)
+        index.append(group)
+    return np.array(first, dtype=np.intp), np.array(index, dtype=np.intp)
 
 
 def sweep_position_features(scene: Scene, provider: EmbeddingProvider) -> PositionFeatureMap:
@@ -88,40 +109,46 @@ def sweep_position_features(scene: Scene, provider: EmbeddingProvider) -> Positi
 
     The views run in visible_objects' order and with its field-of-view
     test, so a position's feature is fixed by the ordered sequence of
-    categories it detects. Each distinct sequence is summed once, from
-    zeros and in that order, and every position with it shares the row."""
-    positions = sorted((ix * CELL, iz * CELL) for ix, iz in scene.reachable_cells())
-    vecs: list[np.ndarray] = []  # embedding of each category code
-    codes: dict[str, int] = {}  # category -> its byte in a sequence key
-    yaw_masks: dict[float | None, int] = {}  # angle -> bit y set iff visible at YAWS[y]
-    rows: dict[bytes, int] = {}  # detection sequence -> its distinct row
-    index = np.empty(len(positions), dtype=np.intp)
-    for i, (x, z) in enumerate(positions):
-        goals = []  # (code, yaw mask), by pitch band and then in object order
-        for category, pitch, ang, _ in sorted(scene.near_objects(x, z), key=_band_rank):
-            if category not in GOAL_SET:
-                continue
-            code = codes.get(category)
-            if code is None:
-                code = codes[category] = len(vecs)
-                vecs.append(provider.object_embedding(category))
-            mask = yaw_masks.get(ang)
-            if mask is None:
-                mask = yaw_masks[ang] = sum(
-                    bit for bit, yaw in zip(_YAW_BITS, YAWS)
-                    if ang is None or abs((ang - yaw + 180.0) % 360.0 - 180.0) <= HALF_FOV + EPS)
-            goals.append((code, mask))
-        key = bytes([code for bit in _YAW_BITS for code, mask in goals if mask & bit])
-        index[i] = rows.setdefault(key, len(rows))
-    features = np.zeros((len(rows), provider.dim))
-    for key, r in rows.items():
-        if key:
-            total = np.zeros(provider.dim)
-            for code in key:
-                total += vecs[code]
-            features[r] = total / len(key)
-    counts = np.array([len(key) for key in rows], dtype=int)
-    return PositionFeatureMap(tuple(positions), features, index, counts[index])
+    categories it detects. One `near_geometry` pass gives every position a
+    yaw mask per goal object and from them its sequence; each distinct
+    sequence is summed once, from zeros and in that order, and every
+    position with it shares the feature row."""
+    ix, iz = np.nonzero(scene.reachable.T)  # sorted (x, z) order
+    x, z = ix * CELL, iz * CELL
+    near, _, angle, angles = near_geometry(scene, x, z)
+    # goal objects in visible_objects' order within a view: by pitch band,
+    # then in object order
+    cols = sorted((k for k, o in enumerate(scene.objects) if o.category in GOAL_SET),
+                  key=lambda k: _PITCH_RANK[BAND_PITCH[scene.objects[k].height_band]])
+    codes: dict[str, int] = {}  # category -> its code in a sequence
+    col_codes = [codes.setdefault(scene.objects[k].category, len(codes)) for k in cols]
+    # an angle index of -1, not near, reads the appended 0
+    yaw_masks = np.array([_yaw_mask(a) for a in angles] + [0], dtype=np.uint8)
+    masks = yaw_masks[angle[:, cols]]
+    # i * 8G + y * G + g for each goal object g that position i detects at
+    # YAWS[y]: in order, each position's detections in visible_objects' order
+    seen = np.flatnonzero((masks[:, None, :] & _YAW_BITS[:, None]) != 0)
+    at, j = np.divmod(seen, len(YAWS) * len(cols))
+    counts = np.bincount(at, minlength=len(ix))
+    # each position's sequence of codes, padded past the longest with the
+    # code of a zero vector
+    pad = len(codes)
+    steps = np.full((len(ix), counts.max(initial=0) + 1), pad, dtype=np.uint8)
+    steps[at, np.arange(len(at)) - (np.cumsum(counts) - counts)[at]] = \
+        np.tile(np.array(col_codes, dtype=np.uint8), len(YAWS))[j]
+    first, index = _first_rows(steps)
+    seqs = steps[first]
+    vecs = np.zeros((pad + 1, provider.dim))
+    used = np.bincount(seqs.ravel(), minlength=pad + 1)
+    for category, code in codes.items():
+        if used[code]:
+            vecs[code] = provider.object_embedding(category)
+    # adding the pad's +0.0 leaves a sum that started from +0.0 as it was
+    totals = np.zeros((len(seqs), provider.dim))
+    for step in seqs.T[:-1].astype(np.intp):
+        totals += vecs[step]
+    rows = totals / np.maximum(counts[first], 1)[:, None]
+    return PositionFeatureMap(tuple(zip(x.tolist(), z.tolist())), rows, index, counts)
 
 
 def _kmeans_pp_init(ux: np.ndarray, inverse: np.ndarray, m: int,
@@ -151,12 +178,13 @@ def _member_means(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray
     """The ids of the clusters among 0..k-1 that have members, and each
     one's member mean. One stable sort puts every cluster's members in a
     contiguous block in position order, so each block's mean is
-    `x[labels == c].mean(axis=0)` bit for bit."""
+    `x[labels == c].mean(axis=0)` bit for bit: the same sum over axis 0,
+    divided by the member count, without `np.mean`'s Python wrapper."""
     counts = np.bincount(labels, minlength=k)
     keep = np.flatnonzero(counts)
     ends = np.cumsum(counts[keep]).tolist()
     grouped = x[np.argsort(labels, kind="stable")]
-    means = np.array([grouped[start:end].mean(axis=0)
+    means = np.array([np.add.reduce(grouped[start:end], axis=0) / (end - start)
                       for start, end in zip([0] + ends[:-1], ends)])
     return keep, means
 
@@ -200,26 +228,42 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
 def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap,
                      eps: float = DEFAULT_EPS, room_category: str = "") -> KnowledgeGraph:
     """Zone node = mean member feature; edge (m, n) = fraction of cross-zone
-    position pairs within Manhattan distance eps; diagonal fixed at 1."""
+    position pairs within Manhattan distance eps; diagonal fixed at 1.
+
+    The positions must be distinct points of the 0.5 m lattice, as the
+    sweep's are. Two of them lie within eps iff their offset of (a, b)
+    cells has CELL * |a| + CELL * |b| <= eps, the same float comparison as
+    on their coordinates, so the pairs are counted one offset at a time."""
     m, labels = assignment.zone_count, assignment.labels
     keep, nodes = _member_means(feature_map.features, labels, m)
     if len(keep) < m:
         raise UsageError("assignment has empty zones")
-    pos = np.array(feature_map.positions)
-    onehot = np.eye(m)[labels]
-    # hits[a, b] counts the pairs of a member of a and a member of b within
-    # eps: integers far below 2**53, so exact whatever the summation order.
-    # A block of rows at a time: an (S, S) distance matrix is too large for
-    # the allocator to reuse, so each one would be fresh, page-faulted memory
-    hits = np.zeros((m, m))
-    block = max(1, _PAIR_BLOCK // len(pos))
-    for start in range(0, len(pos), block):
-        rows = pos[start:start + block]
-        dist = (np.abs(rows[:, None, 0] - pos[None, :, 0])
-                + np.abs(rows[:, None, 1] - pos[None, :, 1]))
-        hits += onehot[start:start + block].T @ (dist <= eps + _ADJ_TOL) @ onehot
+    pos = np.array(feature_map.positions, dtype=float).reshape(-1, 2)
+    cells = np.rint(pos / CELL)
+    if not np.array_equal(cells * CELL, pos):
+        raise UsageError("positions must lie on the 0.5 m lattice")
+    cells = (cells - cells.min(axis=0)).astype(np.intp)
+    width, depth = cells.max(axis=0) + 1
+    steps_x = np.abs(np.arange(1 - width, width))
+    steps_z = np.abs(np.arange(1 - depth, depth))
+    offsets = np.argwhere(CELL * steps_x[:, None] + CELL * steps_z <= eps + _ADJ_TOL) - (
+        width - 1, depth - 1)
+    # the label of the position in each cell of a grid padded by the longest
+    # offset, m where there is none; hits[i * (m + 1) + j] counts the
+    # ordered pairs of a member of zone i and a member of zone j within eps
+    reach = np.abs(offsets).max(axis=0, initial=0)
+    grid = np.full((width + 2 * reach[0], depth + 2 * reach[1]), m, dtype=np.intp)
+    flat = grid.reshape(-1)
+    at = (cells + reach) @ (grid.shape[1], 1)  # each position's index in flat
+    flat[at] = labels
+    if np.count_nonzero(flat < m) < len(labels):
+        raise UsageError("positions must be distinct")
+    hits = np.zeros(m * (m + 1), dtype=np.intp)
+    pairs = labels * (m + 1)
+    for shift in (offsets @ (grid.shape[1], 1)).tolist():
+        hits += np.bincount(pairs + flat[at + shift], minlength=m * (m + 1))
     sizes = np.bincount(labels, minlength=m)
-    edges = hits / np.outer(sizes, sizes)
+    edges = hits.reshape(m, m + 1)[:, :m] / np.outer(sizes, sizes)
     np.fill_diagonal(edges, 1.0)
     return KnowledgeGraph(nodes=nodes, edges=edges, room_category=room_category)
 
@@ -288,8 +332,9 @@ def merge_graphs(graphs: list[KnowledgeGraph]) -> KnowledgeGraph:
 def graph_to_text(graph: KnowledgeGraph) -> str:
     m, n = graph.nodes.shape
     lines = [f"kg-v1 M={m} N={n} room={graph.room_category}"]
-    lines.extend(float_row(row) for row in graph.nodes)
-    lines.extend(float_row(row) for row in graph.edges)
+    # float_row's reprs, one .tolist() per matrix
+    lines.extend(" ".join(map(repr, row)) for row in graph.nodes.tolist())
+    lines.extend(" ".join(map(repr, row)) for row in graph.edges.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ estimator.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -49,6 +50,8 @@ class TrainConfig:
             raise ConfigError("episodes >= 0, workers >= 1, t_max >= 1 required")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 @dataclass

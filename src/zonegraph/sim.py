@@ -94,10 +94,10 @@ class Scene:
     """Immutable after construction.
 
     `near_objects` memoises, per position asked about, the objects within
-    1.5 m and their geometry: the one place visibility geometry is
-    computed. The memo is exact because a scene's objects never change;
-    it stays out of repr and equality, and a scene made by
-    `dataclasses.replace` starts with an empty one.
+    1.5 m and their geometry, which `near_geometry` computes. The memo is
+    exact because a scene's objects never change; it stays out of repr and
+    equality, and a scene made by `dataclasses.replace` starts with an empty
+    one.
     """
 
     id: str
@@ -108,29 +108,26 @@ class Scene:
     objects: tuple[ObjectInstance, ...]
     seed: int
     _near: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _xz: np.ndarray = field(init=False, repr=False, compare=False)  # (K, 2) object positions
 
     def __post_init__(self):
         self.reachable = np.asarray(self.reachable, dtype=bool)
         self.reachable.setflags(write=False)
         self.objects = tuple(self.objects)
+        self._xz = np.array([(o.x, o.z) for o in self.objects], dtype=float).reshape(-1, 2)
 
     def near_objects(self, x: float, z: float) -> tuple[tuple[str, int, float | None, float], ...]:
         """(category, band pitch, angle, distance) of every object within
-        1.5 m of (x, z), in object order. The angle is the object's
-        direction in degrees, from +z toward +x as yaw turns; None for an
-        object on the position's own cell, which is visible at any yaw."""
+        1.5 m of (x, z), in object order. The angle is as `near_geometry`
+        gives it: None for an object on the position's own cell."""
         near = self._near.get((x, z))
         if near is None:
-            near = []
-            for obj in self.objects:
-                dx = obj.x - x
-                dz = obj.z - z
-                d2 = dx * dx + dz * dz
-                if d2 > VIS_RANGE_SQ + EPS:
-                    continue
-                ang = None if d2 <= EPS * EPS else math.degrees(math.atan2(dx, dz))
-                near.append((obj.category, BAND_PITCH[obj.height_band], ang, math.sqrt(d2)))
-            near = self._near[(x, z)] = tuple(near)
+            inside, d2, angle, angles = near_geometry(self, np.array([x]), np.array([z]))
+            ks = np.flatnonzero(inside[0])
+            near = self._near[(x, z)] = tuple(
+                (self.objects[k].category, BAND_PITCH[self.objects[k].height_band], angles[a],
+                 math.sqrt(d))
+                for k, a, d in zip(ks.tolist(), angle[0, ks].tolist(), d2[0, ks].tolist()))
         return near
 
     def cell_of(self, x: float, z: float) -> tuple[int, int]:
@@ -153,6 +150,60 @@ class Scene:
 
     def goal_categories_present(self) -> set[str]:
         return {o.category for o in self.objects if o.category in GOAL_SET}
+
+
+def _angle(dx: float, dz: float) -> float | None:
+    """The direction of an offset in degrees, from +z toward +x as yaw
+    turns; None for an offset within EPS of zero, which any yaw sees."""
+    return None if dx * dx + dz * dz <= EPS * EPS else math.degrees(math.atan2(dx, dz))
+
+
+# The angle of each offset of (a, b) cells with |a|, |b| <= _REACH, at index
+# (a + _REACH) * _SPAN + b + _REACH: every offset between two lattice points
+# within VIS_RANGE of each other. math.atan2, which np.arctan2 is 1 ulp off
+# at 4 of these offsets, runs once per offset.
+_REACH = int(VIS_RANGE / CELL)
+_SPAN = 2 * _REACH + 1
+_LATTICE_ANGLES = [_angle(a * CELL, b * CELL)
+                   for a in range(-_REACH, _REACH + 1) for b in range(-_REACH, _REACH + 1)]
+
+
+def _lattice_keys(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ix * _SPAN + iz of each point's nearest cell (ix, iz), as floats, and
+    whether the point is exactly that cell's corner with no sign bit set: a
+    -0.0 coordinate can give an offset of -0.0, whose angle the table lacks."""
+    ix, iz = np.rint(x / CELL), np.rint(z / CELL)
+    exact = (ix * CELL == x) & (iz * CELL == z) & ~(np.signbit(x) | np.signbit(z))
+    return ix * _SPAN + iz, exact
+
+
+def near_geometry(scene: Scene, x: np.ndarray, z: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float | None]]:
+    """The visibility geometry of the points (x[p], z[p]) against every
+    object k of the scene, all at once. Returns `near` (P, K), whether the
+    object lies within 1.5 m; `d2` (P, K), the squared distance; `angle`
+    (P, K), where near, the index in the returned list `angles` of the
+    object's direction (see `_angle`), and -1 elsewhere.
+
+    An offset between two exact lattice points takes its angle from a
+    table; any other offset gets an entry of its own in `angles`."""
+    ox, oz = scene._xz.T
+    dx = ox - x[:, None]
+    dz = oz - z[:, None]
+    d2 = dx * dx + dz * dz
+    near = d2 <= VIS_RANGE_SQ + EPS
+    point_key, on_point = _lattice_keys(x, z)
+    object_key, on_object = _lattice_keys(ox, oz)
+    # cast once masked, so that a point far off the grid casts no huge key
+    angle = np.where(near, object_key - point_key[:, None] + _REACH * _SPAN + _REACH,
+                     -1).astype(np.intp)
+    angles = _LATTICE_ANGLES
+    if not (on_point.all() and on_object.all()):
+        rows, cols = np.nonzero(near & ~(on_point[:, None] & on_object))
+        angles = angles + [_angle(a, b) for a, b in zip(dx[rows, cols].tolist(),
+                                                          dz[rows, cols].tolist())]
+        angle[rows, cols] = np.arange(len(_LATTICE_ANGLES), len(angles))
+    return near, d2, angle, angles
 
 
 @dataclass

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import zonegraph.nn as nn
-from zonegraph.embedding import EmbeddingProvider
+from zonegraph.embedding import DEFAULT_GRID, EmbeddingProvider, _grid_cell, _unit_mean
 from zonegraph.errors import UsageError
 from zonegraph.graph import ZoneAssignment
 from zonegraph.policy import compose_input
-from zonegraph.sim import CELL, SEED_MASK, ObjectInstance, Scene
+from zonegraph.sim import (BAND_PITCH, CELL, EPS, SEED_MASK, VIS_RANGE_SQ, ObjectInstance,
+                           Observation, Scene)
 
 # property tests draw the same examples on every run and stay short
 settings.register_profile("zonegraph", derandomize=True, deadline=None, max_examples=60,
@@ -25,6 +28,67 @@ def make_scene(width, depth, objects, blocked=(), room="kitchen", sid="test", se
     )
     return Scene(id=sid, room_category=room, width=width, depth=depth,
                  reachable=reach, objects=objs, seed=seed)
+
+
+def near_objects_reference(scene, x, z):
+    """Scene.near_objects as a loop over the objects, one offset at a time
+    through math.atan2: (category, band pitch, angle, distance) of every
+    object within 1.5 m of (x, z), in object order, the angle None for an
+    object on the position's own cell."""
+    near = []
+    for obj in scene.objects:
+        dx = obj.x - x
+        dz = obj.z - z
+        d2 = dx * dx + dz * dz
+        if d2 > VIS_RANGE_SQ + EPS:
+            continue
+        ang = None if d2 <= EPS * EPS else math.degrees(math.atan2(dx, dz))
+        near.append((obj.category, BAND_PITCH[obj.height_band], ang, math.sqrt(d2)))
+    return tuple(near)
+
+
+# a coordinate's offset from its lattice point: validate_scene allows up to
+# EPS, and a -0.0 stands for 0 with its sign bit set
+_JITTER = st.one_of(st.just(0.0), st.sampled_from([EPS, -EPS, EPS / 2, -EPS / 3]),
+                    st.floats(-EPS, EPS))
+
+
+@st.composite
+def scenes_with_off_lattice_objects(draw):
+    """A scene of up to 7x7 cells whose objects may sit off the lattice by
+    up to EPS, or at -0.0."""
+    width, depth = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    objects = []
+    for _ in range(draw(st.integers(0, 8))):
+        ix, iz = draw(st.integers(0, width - 1)), draw(st.integers(0, depth - 1))
+        x, z = ix * CELL + draw(_JITTER), iz * CELL + draw(_JITTER)
+        if x == 0.0 and draw(st.booleans()):
+            x = -0.0
+        objects.append(ObjectInstance(draw(st.sampled_from(["Sink", "Pan", "Mirror", "Bowl"])),
+                                      x, z, draw(st.sampled_from(list(BAND_PITCH)))))
+    return Scene("hyp", "kitchen", width, depth, np.ones((depth, width), dtype=bool),
+                 tuple(objects), 0)
+
+
+def image_feature(provider: EmbeddingProvider, observation: Observation,
+                  grid: int = DEFAULT_GRID) -> np.ndarray:
+    """Splat visible objects into a G x G x D grid: the grid whose mean
+    embedding.pooled_image_feature forms without building it.
+
+    Column index bins bearing over [-45, +45]; row index bins distance over
+    [0, 1.5]. Cells holding several objects average their embeddings and
+    renormalize; empty cells stay exactly zero.
+    """
+    g = int(grid)
+    out = np.zeros((g, g, provider.dim))
+    counts = np.zeros((g, g), dtype=int)
+    for s in observation.visible:
+        row, col = _grid_cell(s, g)
+        out[row, col] += provider.object_embedding(s.category)
+        counts[row, col] += 1
+    for row, col in zip(*np.nonzero(counts)):
+        out[row, col] = _unit_mean(out[row, col], counts[row, col])
+    return out
 
 
 # ---------------------------------------------------------------------------

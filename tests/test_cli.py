@@ -366,6 +366,22 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("line", ["stats_every = 0", "hidden = 0", "train.lr = -1",
+                                      "train.lr = nan", "train.lr = inf"])
+    def test_train_rejects_unusable_config_value(self, pipeline, tmp_path, capsys, line):
+        # checked once the command line has overridden the file, before any
+        # scene is read: one categorised line, and nothing written
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"embedding.dim = 16\nhidden = 16\ntrain.episodes = 4\n{line}\n")
+        out = tmp_path / "m.ckpt"
+        code = run(["train", "--scenes", str(pipeline / "scenes"), "--graph", str(pipeline / "g.kg"),
+                    "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=config:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
     def test_train_rejects_negative_zone_count(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.kg"
         bad.write_text("kg-v1 M=-1 N=16 room=kitchen\n")

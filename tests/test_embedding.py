@@ -6,7 +6,6 @@ from zonegraph.embedding import (
     EmbeddingProvider,
     embeddings_from_text,
     embeddings_to_text,
-    image_feature,
     load_embeddings,
     observation_feature,
     pooled_image_feature,
@@ -15,7 +14,7 @@ from zonegraph.embedding import (
 from zonegraph.errors import FormatError, UnknownCategoryError
 from zonegraph.sim import CELL, PITCHES, YAWS, Observation, Pose, Sighting, generate_scene, visible_objects
 
-from conftest import make_scene
+from conftest import image_feature, make_scene
 
 # computed once from synthetic(seed=0, D=64) over all 22 goal categories and
 # frozen as a regression fixture

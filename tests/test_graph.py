@@ -24,9 +24,10 @@ from zonegraph.graph import (
     validate_edges,
 )
 from zonegraph.categories import GOAL_SET, ROOM_CATEGORIES
-from zonegraph.sim import CELL, PITCHES, YAWS, Pose, generate_scene, visible_objects
+from zonegraph.sim import CELL, EPS, HALF_FOV, PITCHES, YAWS, generate_scene
 
-from conftest import assert_same_clustering, cluster_zones_reference, make_scene
+from conftest import (assert_same_clustering, cluster_zones_reference, make_scene,
+                      near_objects_reference, scenes_with_off_lattice_objects)
 
 
 def oracle_sweep(scene, provider):
@@ -59,20 +60,24 @@ def oracle_sweep(scene, provider):
 
 
 def _sweep_reference(scene, provider):
-    """sweep_position_features as a loop over visible_objects, one call per
-    view: the summation order the sweep must keep, so its features are
-    bitwise the same."""
+    """sweep_position_features as a loop over visible_objects' views, on
+    the per-object reference geometry: the summation order the sweep must
+    keep, so its features are bitwise the same."""
     positions = sorted((ix * CELL, iz * CELL) for ix, iz in scene.reachable_cells())
     features = np.zeros((len(positions), provider.dim))
     counts = np.zeros(len(positions), dtype=int)
     for i, (x, z) in enumerate(positions):
         total = np.zeros(provider.dim)
         n = 0
+        near = near_objects_reference(scene, x, z)
         for yaw in YAWS:
             for pitch in PITCHES:
-                for s in visible_objects(scene, Pose(x, z, yaw, pitch)).visible:
-                    if s.category in GOAL_SET:
-                        total += provider.object_embedding(s.category)
+                # visible_objects' field-of-view test, in object order
+                for category, band, ang, _ in near:
+                    if band != pitch or category not in GOAL_SET:
+                        continue
+                    if ang is None or abs((ang - yaw + 180.0) % 360.0 - 180.0) <= HALF_FOV + EPS:
+                        total += provider.object_embedding(category)
                         n += 1
         if n:
             features[i] = total / n
@@ -177,12 +182,25 @@ class TestSweep:
     @pytest.mark.parametrize("size", [(8, 8), (16, 16)])
     @pytest.mark.parametrize("room", ROOM_CATEGORIES)
     def test_bitwise_equal_reference(self, provider, room, size):
-        # a fresh scene, so the sweep fills the visibility memo itself
+        # a fresh scene, whose near_objects memo is empty
         got = sweep_position_features(generate_scene(room, size, 0), provider)
         want = _sweep_reference(generate_scene(room, size, 0), provider)
         assert got.positions == want.positions
         assert got.features.tobytes() == want.features.tobytes()
         assert got.counts.tobytes() == want.counts.tobytes()
+
+    @given(scenes_with_off_lattice_objects())
+    def test_off_lattice_objects_bitwise_equal_reference(self, small_provider, scene):
+        # objects up to EPS off the lattice, or at -0.0, take near_geometry's
+        # per-offset angles rather than its table
+        got = sweep_position_features(scene, small_provider)
+        want = _sweep_reference(scene, small_provider)
+        assert got.positions == want.positions
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
+        # row ids in order of first use, each row used
+        assert got.index.dtype == np.intp
+        assert list(dict.fromkeys(got.index.tolist())) == list(range(len(got.rows)))
 
 
 class TestCluster:
@@ -419,6 +437,38 @@ class TestRoomGraph:
             for eps in (0.5, 1.0, 1.7):
                 got = build_room_graph(za, fmap, eps=eps).edges
                 assert np.array_equal(got, pair_loop_edges(za, fmap, eps))
+
+    # 1 - 1e-9 puts eps + 1e-9 exactly on the lattice distance 1.0
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, 0.5, 0.7, 1.0 - 1e-9, 1.0, 1.7, 100.0])
+    def test_offset_count_bitwise_equal_pair_loop(self, small_provider, eps):
+        # the pairs are counted one lattice offset at a time: every offset
+        # whose Manhattan length passes eps's float comparison, and no other
+        for room, size, seed in (("kitchen", (8, 8), 0), ("bedroom", (12, 9), 3),
+                                 ("bathroom", (16, 16), 2)):
+            fmap = sweep_position_features(generate_scene(room, size, seed), small_provider)
+            za = cluster_zones(fmap, 8, seed)
+            got = build_room_graph(za, fmap, eps=eps).edges
+            assert got.tobytes() == pair_loop_edges(za, fmap, eps).tobytes()
+
+    def test_offset_count_on_a_sparse_lattice(self):
+        # positions far apart and out of scan order, negative ones included
+        positions = [(-1.5, 2.0), (0.0, 0.0), (4.0, -0.5), (0.5, 0.0), (-1.0, 2.0), (3.5, -0.5)]
+        fmap = self._fmap(positions, np.arange(6.0)[:, None])
+        za = ZoneAssignment(np.array([0, 1, 2, 2, 1, 0]), np.zeros((3, 1)))
+        for eps in (0.5, 1.0, 6.0, 9.5):
+            got = build_room_graph(za, fmap, eps=eps).edges
+            assert got.tobytes() == pair_loop_edges(za, fmap, eps).tobytes()
+
+    @pytest.mark.parametrize("positions, message", [
+        ([(0.0, 0.0), (0.25, 0.0), (1.0, 0.0)], "lattice"),
+        ([(0.0, 0.0), (0.5, 1e-12), (1.0, 0.0)], "lattice"),
+        ([(0.0, 0.0), (0.5, 0.0), (0.0, 0.0)], "distinct"),
+    ])
+    def test_off_lattice_or_repeated_position_rejected(self, positions, message):
+        fmap = self._fmap(positions, [[1.0], [2.0], [3.0]])
+        za = ZoneAssignment(np.array([0, 1, 1]), np.zeros((2, 1)))
+        with pytest.raises(UsageError, match=message):
+            build_room_graph(za, fmap)
 
 
 class TestMatch:

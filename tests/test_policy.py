@@ -13,7 +13,7 @@ from zonegraph.controller import (
     max_product_path,
     target_zone,
 )
-from zonegraph.embedding import EmbeddingProvider, image_feature, observation_feature
+from zonegraph.embedding import EmbeddingProvider, observation_feature
 from zonegraph import policy
 from zonegraph.errors import ConfigError, UsageError
 from zonegraph.graph import KnowledgeGraph, build_scene_graph
@@ -32,8 +32,8 @@ from zonegraph.policy import (
 from zonegraph.selfcheck import fd_check, random_edge_matrix, random_trajectory
 from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_objects
 
-from conftest import (actor_critic_backward, gcn_backward, gcn_forward, lstm_backward,
-                      lstm_step_split, make_scene, unfactored_cell_step)
+from conftest import (actor_critic_backward, gcn_backward, gcn_forward, image_feature,
+                      lstm_backward, lstm_step_split, make_scene, unfactored_cell_step)
 
 ALL_MASKS = [frozenset(m) for k in range(len(policy.MASKABLE) + 1)
              for m in itertools.combinations(sorted(policy.MASKABLE), k)]

@@ -31,7 +31,7 @@ from zonegraph.sim import (
     visible_objects,
 )
 
-from conftest import make_scene
+from conftest import make_scene, near_objects_reference, scenes_with_off_lattice_objects
 
 
 def flood_fill(reach):
@@ -273,6 +273,31 @@ class TestVisibilityMemo:
         assert [s.category for s in visible_objects(moved, pose).visible] == ["Pan"]
         assert visible_objects(moved, pose) == _visible_objects_reference(moved, pose)
         assert [s.category for s in visible_objects(scene, pose).visible] == ["Sink"]
+
+
+class TestNearGeometry:
+    """Scene.near_objects against the per-object loop it replaced. The
+    reprs are compared, so a 1-ulp angle or a -0.0 for 0.0 fails."""
+
+    @given(scenes_with_off_lattice_objects())
+    def test_equals_per_object_loop(self, scene):
+        points = [(ix * CELL, iz * CELL) for iz in range(scene.depth) for ix in range(scene.width)]
+        # each object's own position; + 0.0 turns a -0.0 into the 0.0 that
+        # the memo's key does not tell it from
+        points += [(o.x + 0.0, o.z + 0.0) for o in scene.objects]
+        points += [(0.25, 1.5), (0.5, -0.25), (1.0 + EPS, 0.5)]
+        for x, z in points:
+            want = repr(near_objects_reference(scene, x, z))
+            assert repr(scene.near_objects(x, z)) == want
+            assert repr(scene.near_objects(x, z)) == want  # from the memo
+
+    @pytest.mark.parametrize("room", ROOM_CATEGORIES)
+    def test_generated_scene_every_cell(self, room):
+        scene = generate_scene(room, (16, 16), 1)
+        for iz in range(scene.depth):
+            for ix in range(scene.width):
+                x, z = ix * CELL, iz * CELL
+                assert repr(scene.near_objects(x, z)) == repr(near_objects_reference(scene, x, z))
 
 
 class TestStep:
