@@ -26,9 +26,11 @@ Every output comes from `zonegraph.cli.run`, on the benchmark's world (four
                                  inputs masked; with eval-mask-gra, every
                                  block of the recurrent cell's input is
                                  switched off in one of the runs
-    selfcheck.out                `selfcheck`: the embedded oracle suite, whose
-                                 finite-difference figure goes through the
-                                 sequence kernels of the A2C update
+    selfcheck.out                `selfcheck`: the four checks of acceptance
+                                 criteria 1, 3, 4 and 5 at the selfcheck's
+                                 own seeds and counts, one line each; the
+                                 gradient line probes the sequence kernels
+                                 and the whole A2C update
     *.out                        each command's printed output
 
 The commands run inside the output directory with relative paths, so the

@@ -339,6 +339,8 @@ def load_checkpoint_bundle(path):
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise UsageError(f"--episodes must be at least 1, got {args.episodes}")
     params, graph, provider, meta = load_checkpoint_bundle(args.ckpt)
     scenes = _load_scene_dir(args.scenes)
     try:

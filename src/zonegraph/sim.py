@@ -119,10 +119,13 @@ class Scene:
     def near_objects(self, x: float, z: float) -> tuple[tuple[str, int, float | None, float], ...]:
         """(category, band pitch, angle, distance) of every object within
         1.5 m of (x, z), in object order. The angle is as `near_geometry`
-        gives it: None for an object on the position's own cell."""
+        gives it: None for an object on the position's own cell. A -0.0
+        coordinate shares its memo key with 0.0, so both get the answer for
+        0.0, whichever is asked first."""
         near = self._near.get((x, z))
         if near is None:
-            inside, d2, angle, angles = near_geometry(self, np.array([x]), np.array([z]))
+            inside, d2, angle, angles = near_geometry(self, np.array([x + 0.0]),
+                                                      np.array([z + 0.0]))
             ks = np.flatnonzero(inside[0])
             near = self._near[(x, z)] = tuple(
                 (self.objects[k].category, BAND_PITCH[self.objects[k].height_band], angles[a],

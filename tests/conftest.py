@@ -9,6 +9,7 @@ from zonegraph.embedding import DEFAULT_GRID, EmbeddingProvider, _grid_cell, _un
 from zonegraph.errors import UsageError
 from zonegraph.graph import ZoneAssignment
 from zonegraph.policy import compose_input
+from zonegraph.selfcheck import fd_probe
 from zonegraph.sim import (BAND_PITCH, CELL, EPS, SEED_MASK, VIS_RANGE_SQ, ObjectInstance,
                            Observation, Scene)
 
@@ -266,6 +267,17 @@ def assert_same_clustering(got: ZoneAssignment, want: ZoneAssignment) -> None:
     assert got.zone_count == want.zone_count
     assert got.centers.shape == want.centers.shape
     assert got.centers.tobytes() == want.centers.tobytes()
+
+
+def fd_check(loss_fn, params: dict, grads: dict, rng: np.random.Generator,
+             probes_per_array: int = 4) -> float:
+    """Finite-difference probe of every array of `params`. Returns the worst
+    relative error."""
+    worst = 0.0
+    for name, arr in params.items():
+        worst = max(worst, fd_probe(lambda: loss_fn(params), arr, grads[name], rng,
+                                    probes_per_array))
+    return worst
 
 
 @pytest.fixture(scope="session")

@@ -13,26 +13,21 @@ import pytest
 
 import zonegraph.nn as nn
 from zonegraph.categories import GOAL_CATEGORIES, GOAL_SET
-from zonegraph.controller import GraphState, adapt_graph, max_product_path, plan_subgoal
 from zonegraph.embedding import EmbeddingProvider, embeddings_from_text, embeddings_to_text
 from zonegraph.graph import (
-    KnowledgeGraph,
-    PositionFeatureMap,
-    ZoneAssignment,
     build_room_graph,
     build_scene_graph,
     cluster_zones,
     graph_from_text,
     graph_to_text,
-    match_graphs,
-    matching_objective,
     merge_graphs,
     sweep_position_features,
 )
 from zonegraph.metrics import GoalSplit, evaluate, report_summary_line, zero_shot_split
-from zonegraph.policy import TrainConfig, a2c_loss_and_grads, train
-from zonegraph.selfcheck import (_rel_err, enumerate_max_product, fd_derivative, fd_probe,
-                                 random_edge_matrix, random_trajectory)
+from zonegraph.policy import TrainConfig, train
+from zonegraph.selfcheck import (_rel_err, a2c_case, equation_algebra, fd_derivative, fd_probe,
+                                 gcn_case, gradient_suite, heads_case, lstm_case,
+                                 matching_optimality, planner_optimality)
 from zonegraph.sim import (
     CELL,
     PITCHES,
@@ -56,66 +51,8 @@ def report(name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_equation_algebra():
     t0 = time.time()
-    prov = EmbeddingProvider.synthetic(dim=8, seed=0)
-    dev = 0.0
-
-    # position-feature averaging, hand case A: one mid-band object on the
-    # viewer's cell is detected from all 8 yaws -> feature equals its embedding
-    scene = make_scene(5, 5, [("Sink", 2, 2, "mid")])
-    fmap = sweep_position_features(scene, prov)
-    i = fmap.positions.index((1.0, 1.0))
-    dev = max(dev, float(np.max(np.abs(fmap.features[i] - prov.object_embedding("Sink")))))
-    assert fmap.counts[i] == 8
-
-    # hand case B: nothing in range -> exact zero vector
-    scene = make_scene(8, 8, [("Sink", 0, 0, "mid")])
-    fmap = sweep_position_features(scene, prov)
-    j = fmap.positions.index((3.5, 3.5))
-    dev = max(dev, float(np.max(np.abs(fmap.features[j]))))
-    assert fmap.counts[j] == 0
-
-    # hand case C: category A detected twice as often as B -> (2a + b) / 3
-    scene = make_scene(6, 6, [("Sink", 2, 4, "mid"), ("Sink", 2, 4, "high"),
-                              ("Pan", 4, 2, "mid")])
-    fmap = sweep_position_features(scene, prov)
-    k = fmap.positions.index((1.0, 1.0))
-    a, b = prov.object_embedding("Sink"), prov.object_embedding("Pan")
-    dev = max(dev, float(np.max(np.abs(fmap.features[k] - (2 * a + b) / 3))))
-    assert fmap.counts[k] == 9
-
-    # zone means
-    positions = ((0.0, 0.0), (0.5, 0.0), (2.0, 0.0))
-    feats = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 4.0]])
-    pf = PositionFeatureMap(positions, feats, np.arange(3), np.array([1, 1, 1]))
-    za = ZoneAssignment(np.array([0, 0, 1]), np.array([[0.5, 0.5], [4.0, 4.0]]))
-    g = build_room_graph(za, pf, eps=0.5)
-    dev = max(dev, float(np.max(np.abs(g.nodes[0] - [0.5, 0.5]))))
-    dev = max(dev, float(np.max(np.abs(g.nodes[1] - [4.0, 4.0]))))
-
-    # edge probabilities: adjacent / far / mixed = 1.0 / 0.0 / 0.5
-    p1, p2 = (0.0, 0.0), (0.5, 0.0)
-    pf2 = PositionFeatureMap((p1, p2), np.array([[1.0], [2.0]]), np.arange(2), np.array([1, 1]))
-    za2 = ZoneAssignment(np.array([0, 1]), np.array([[1.0], [2.0]]))
-    dev = max(dev, abs(build_room_graph(za2, pf2, eps=0.5).edges[0, 1] - 1.0))
-    p3 = (1.5, 0.0)
-    pf3 = PositionFeatureMap((p1, p3), np.array([[1.0], [2.0]]), np.arange(2), np.array([1, 1]))
-    za3 = ZoneAssignment(np.array([0, 1]), np.array([[1.0], [2.0]]))
-    dev = max(dev, abs(build_room_graph(za3, pf3, eps=0.5).edges[0, 1] - 0.0))
-    a1, a2, b1 = (0.0, 0.0), (0.0, 2.0), (0.5, 0.0)
-    pf4 = PositionFeatureMap((a1, a2, b1), np.array([[1.0], [1.0], [2.0]]), np.arange(3),
-                             np.array([1] * 3))
-    za4 = ZoneAssignment(np.array([0, 0, 1]), np.array([[1.0], [2.0]]))
-    dev = max(dev, abs(build_room_graph(za4, pf4, eps=0.5).edges[0, 1] - 0.5))
-
-    # adaptation row update for lambda in {0, 0.3, 1}
-    base = KnowledgeGraph(np.array([[1.0, 0.0], [5.0, 5.0]]), np.eye(2), "kitchen")
-    f_obs = np.array([0.0, 1.0])
-    for lam in (0.0, 0.3, 1.0):
-        gs = GraphState(base, lam=lam)
-        adapt_graph(gs, f_obs, 0)
-        dev = max(dev, float(np.max(np.abs(gs.adapted[0] - (lam * f_obs + (1 - lam) * np.array([1.0, 0.0]))))))
-        dev = max(dev, float(np.max(np.abs(gs.adapted[1] - base.nodes[1]))))
-
+    dev, counts = equation_algebra()
+    assert counts == (8, 0, 9)
     elapsed = time.time() - t0
     report("criterion-1 equation-algebra", dev <= 1e-12 and elapsed < 1.0,
            f"max deviation {dev:.2e}, {elapsed:.2f}s")
@@ -268,28 +205,7 @@ def test_criterion_2_pipeline_vs_oracle():
 
 def test_criterion_3_planner_optimality():
     t0 = time.time()
-    rng = np.random.default_rng(77)
-    worst = 0.0
-    flips = 0
-    for _ in range(200):
-        m = int(rng.integers(2, 7))
-        edges = random_edge_matrix(rng, m, density=float(rng.uniform(0.3, 1.0)))
-        start, goal = (int(v) for v in rng.choice(m, size=2, replace=False))
-        _, prob = max_product_path(edges, start, goal)
-        worst = max(worst, abs(prob - enumerate_max_product(edges, start, goal)))
-
-        gs = GraphState(KnowledgeGraph(np.zeros((m, 2)), edges, "kitchen"))
-        base_subgoal = plan_subgoal(gs, start, goal)
-        # edge scaling in -log space: e -> e^c for c in (0, 1] rescales every
-        # path weight by c and must never change the chosen sub-goal (the
-        # literal multiplicative reading is provably false for max-product
-        # selection; see the repo notes)
-        c = float(rng.uniform(0.05, 1.0))
-        scaled = edges ** c
-        np.fill_diagonal(scaled, 1.0)
-        gs2 = GraphState(KnowledgeGraph(np.zeros((m, 2)), scaled, "kitchen"))
-        if plan_subgoal(gs2, start, goal) != base_subgoal:
-            flips += 1
+    worst, flips = planner_optimality(77, 200)
     elapsed = time.time() - t0
     ok = worst <= 1e-12 and flips == 0 and elapsed < 10
     report("criterion-3 planner-optimality", ok,
@@ -303,30 +219,7 @@ def test_criterion_3_planner_optimality():
 
 def test_criterion_4_matching():
     t0 = time.time()
-    rng = np.random.default_rng(88)
-    worst = 0.0
-    recoveries = recovery_candidates = 0
-    for _ in range(100):
-        m = int(rng.integers(2, 6))
-        nodes = rng.standard_normal((m, 16))
-        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
-        ga = KnowledgeGraph(nodes, np.eye(m), "kitchen")
-        gb = KnowledgeGraph(rng.standard_normal((m, 16)), np.eye(m), "kitchen")
-        perm = match_graphs(ga, gb)
-        best = max(
-            matching_objective(ga, gb, np.array(p)) for p in itertools.permutations(range(m))
-        )
-        worst = max(worst, abs(matching_objective(ga, gb, perm) - best))
-
-        # permuted-copy recovery whenever node cosines are separated by >= 0.1
-        cos = nodes @ nodes.T
-        np.fill_diagonal(cos, -1.0)
-        if float(cos.max()) <= 0.9:
-            recovery_candidates += 1
-            sigma = rng.permutation(m)
-            gp = KnowledgeGraph(nodes[sigma], np.eye(m), "kitchen")
-            if np.array_equal(match_graphs(ga, gp), np.argsort(sigma)):
-                recoveries += 1
+    worst, recoveries, recovery_candidates = matching_optimality(88, 100)
     elapsed = time.time() - t0
     ok = worst <= 1e-12 and recoveries == recovery_candidates and recovery_candidates > 50 \
         and elapsed < 10
@@ -339,116 +232,12 @@ def test_criterion_4_matching():
 # Criterion 5: gradient suite (< 30 s)
 
 
-def _a2c_case(rng):
-    """A random three-step trajectory on a random 4-zone graph: returns the
-    parameters, their analytic A2C gradient and the loss as a closure over
-    the parameters (advantages frozen at their current values)."""
-    m, n, h, d = 4, 6, 8, 5
-    graph = KnowledgeGraph(rng.standard_normal((m, n)) * 0.5,
-                           random_edge_matrix(rng, m), "kitchen")
-    params = nn.init_params(d, n, hidden=h, seed=int(rng.integers(1000)))
-    params["lambda_raw"] = np.array(float(rng.uniform(-1, 1)))
-    traj = random_trajectory(rng, m, n, d, 3)
-    cfg = TrainConfig(gamma=0.9)
-    _, grads, stats = a2c_loss_and_grads(params, [traj], graph, cfg)
-    adv = stats["advantages"]
-
-    def aloss():
-        l, _, _ = a2c_loss_and_grads(params, [traj], graph, cfg, frozen_advantages=adv)
-        return l
-
-    return params, grads, aloss
-
-
-def _gcn_case(rng):
-    """The sequence GCN on T in [2, 5) random graphs with random selected
-    rows, under a random projection of its (T, N) output: the loss and
-    (array, gradient) by name."""
-    t_len = int(rng.integers(2, 5))
-    m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-    w1, w2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    nodes = rng.standard_normal((t_len, m, n))
-    ahat = nn.normalize_adjacency(random_edge_matrix(rng, m))
-    rows = rng.integers(m, size=t_len)
-    proj = rng.standard_normal((t_len, n))
-    _, cache = nn.gcn_forward_seq(w1, w2, nodes, ahat, rows)
-    dw1, dw2, dnodes = nn.gcn_backward_seq(cache, proj, w1, w2)
-
-    def loss():
-        out, _ = nn.gcn_forward_seq(w1, w2, nodes, ahat, rows)
-        return float((out * proj).sum())
-
-    return loss, {"w1": (w1, dw1), "w2": (w2, dw2), "nodes": (nodes, dnodes)}
-
-
-def _lstm_case(rng):
-    """The recurrent cell over T in [2, 5) steps from a zero state, under a
-    random projection of its hidden states; the input gradient is dz @ wx.T."""
-    t_len = int(rng.integers(2, 5))
-    f, h = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-    wx = rng.standard_normal((f, 4 * h)) * 0.5
-    wh = rng.standard_normal((h, 4 * h)) * 0.5
-    b = rng.standard_normal(4 * h) * 0.2
-    xs = rng.standard_normal((t_len, f))
-    dhs = rng.standard_normal((t_len, h))
-    _, cache = nn.lstm_forward_seq(wx, wh, b, xs)
-    dwx, dwh, db, dz = nn.lstm_backward_seq(cache, dhs, wx, wh)
-
-    def loss():
-        hs, _ = nn.lstm_forward_seq(wx, wh, b, xs)
-        return float((hs * dhs).sum())
-
-    return loss, {"wx": (wx, dwx), "wh": (wh, dwh), "b": (b, db), "xs": (xs, dz @ wx.T)}
-
-
-def _heads_case(rng):
-    """The heads on T in [2, 5) hidden states: the summed log-probability
-    of a random action per step plus the summed values."""
-    t_len = int(rng.integers(2, 5))
-    hdim = int(rng.integers(2, 8))
-    aw, ab = rng.standard_normal((hdim, 6)), rng.standard_normal(6)
-    cw, cb = rng.standard_normal(hdim), np.array(rng.standard_normal())
-    hs = rng.standard_normal((t_len, hdim))
-    acts = rng.integers(6, size=t_len)
-    logits, _ = nn.actor_critic(aw, ab, cw, cb, hs)
-    # d log p[a] / d logits = onehot(a) - p
-    dlogits = np.eye(6)[acts] - nn.softmax(logits)
-    daw, dab, dcw, dcb, dhs = nn.actor_critic_backward_seq(aw, cw, hs, dlogits, np.ones(t_len))
-
-    def loss():
-        lg, v = nn.actor_critic(aw, ab, cw, cb, hs)
-        return float(nn.log_softmax(lg)[np.arange(t_len), acts].sum() + v.sum())
-
-    return loss, {"actor_w": (aw, daw), "actor_b": (ab, dab), "critic_w": (cw, dcw),
-                  "critic_b": (cb, dcb), "hs": (hs, dhs)}
-
-
 def test_criterion_5_gradient_suite():
-    # the gcn, lstm and heads blocks probe the sequence kernels that the A2C
-    # update runs; the a2c and lambda blocks probe the whole update
     t0 = time.time()
-    rng = np.random.default_rng(99)
-    worst = {"gcn": 0.0, "lstm": 0.0, "heads": 0.0, "a2c": 0.0, "lambda": 0.0}
-
-    for block, case in (("gcn", _gcn_case), ("lstm", _lstm_case), ("heads", _heads_case)):
-        for _ in range(50):
-            loss, probes = case(rng)
-            for arr, grad in probes.values():
-                worst[block] = max(worst[block], fd_probe(loss, arr, grad, rng, 2))
-
-    lam_grads = []
-    for _ in range(50):
-        params, grads, aloss = _a2c_case(rng)
-        for name in ("gcn_w1", "lstm_wx", "actor_w", "critic_w", "lstm_b"):
-            worst["a2c"] = max(worst["a2c"], fd_probe(aloss, params[name], grads[name], rng, 1))
-        worst["lambda"] = max(
-            worst["lambda"], fd_probe(aloss, params["lambda_raw"], grads["lambda_raw"], rng, 1)
-        )
-        lam_grads.append(float(grads["lambda_raw"]))
-
+    worst, lam_moved = gradient_suite(99, 50)
     elapsed = time.time() - t0
     worst_all = max(worst.values())
-    ok = worst_all <= 1e-4 and any(g != 0.0 for g in lam_grads) and elapsed < 30
+    ok = worst_all <= 1e-4 and lam_moved and elapsed < 30
     report("criterion-5 gradient-suite", ok,
            f"worst rel err {worst_all:.2e} ({', '.join(f'{k}={v:.1e}' for k, v in worst.items())}), "
            f"{elapsed:.1f}s")
@@ -462,7 +251,7 @@ def test_criterion_5_probe_detects_corrupted_gradients():
     worst_scaled = {"lstm_wx": 0.0, "actor_w": 0.0, "lambda_raw": 0.0}
     worst_unchained = 0.0
     for _ in range(10):
-        params, grads, aloss = _a2c_case(rng)
+        params, grads, aloss = a2c_case(rng)
         lam = float(nn.sigmoid(params["lambda_raw"]))
         for name in worst_scaled:
             worst_scaled[name] = max(worst_scaled[name],
@@ -471,8 +260,8 @@ def test_criterion_5_probe_detects_corrupted_gradients():
         worst_unchained = max(worst_unchained,
                               fd_probe(aloss, params["lambda_raw"], unchained, rng, 1))
     # the sequence kernels of the per-block probes, one weight gradient each
-    for key, case, name in (("gcn.w1", _gcn_case, "w1"), ("lstm.wx", _lstm_case, "wx"),
-                            ("heads.actor_w", _heads_case, "actor_w")):
+    for key, case, name in (("gcn.w1", gcn_case, "w1"), ("lstm.wx", lstm_case, "wx"),
+                            ("heads.actor_w", heads_case, "actor_w")):
         worst_scaled[key] = 0.0
         for _ in range(10):
             loss, probes = case(rng)

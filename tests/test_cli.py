@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import operator
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zonegraph import nn
+from zonegraph import nn, selfcheck
 from zonegraph.cli import Config, load_checkpoint_bundle, parse_config_text, run
 from zonegraph.errors import ConfigError
 from zonegraph.graph import load_graph
@@ -241,6 +243,18 @@ class TestTrainEval:
         lines = [l for l in text.splitlines() if l.startswith("{")]
         assert lines and all(json.loads(l) for l in lines)
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_eval_rejects_episodes_below_one(self, pipeline, tmp_path, capsys, episodes):
+        # a run of no episodes would report SR=0.00 as if it had measured 0%
+        out = tmp_path / "report.txt"
+        code = run(["eval", "--ckpt", str(pipeline / "model.ckpt"),
+                    "--scenes", str(pipeline / "scenes"), "--episodes", episodes,
+                    "--seeds", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=usage:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_eval_random_policy(self, pipeline, tmp_path):
         out = tmp_path / "random.txt"
         code = run(["eval", "--ckpt", str(pipeline / "model.ckpt"),
@@ -392,23 +406,33 @@ class TestTrainEval:
         assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
 
 
+# each selfcheck line, its kernel by its path from zonegraph.selfcheck, and a
+# corruption of that kernel's output
+SELFCHECK_BREAKS = [
+    ("equation-algebra", "sweep_position_features",
+     lambda fmap: dataclasses.replace(fmap, rows=fmap.rows * 1.001)),
+    ("planner-vs-enumeration", "max_product_path",
+     lambda path_prob: (path_prob[0], path_prob[1] * 0.999)),
+    ("matching-vs-bruteforce", "match_graphs", lambda perm: np.arange(len(perm))),
+    # a recurrent input weight gradient off by a relative 1e-3
+    ("gradient-finite-difference", "nn.lstm_backward_seq",
+     lambda grads: (grads[0] * 1.001, *grads[1:])),
+]
+
+
 class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert [l.partition(":")[0] for l in out.splitlines()] == [
+            f"PASS {line}" for line, _, _ in SELFCHECK_BREAKS]
 
-    def test_gradient_check_catches_scaled_recurrent_gradient(self, monkeypatch):
-        # the probe covers the sequence kernels training runs: an input
-        # weight gradient off by a relative 1e-3 must fail it
-        from zonegraph import nn, selfcheck
-
-        real = nn.lstm_backward_seq
-
-        def scaled(*args):
-            dwx, dwh, db, dz = real(*args)
-            return dwx * 1.001, dwh, db, dz
-
-        monkeypatch.setattr(nn, "lstm_backward_seq", scaled)
-        ok, detail = selfcheck.check_gradients()
-        assert not ok, detail
+    @pytest.mark.parametrize("line, kernel, corrupt", SELFCHECK_BREAKS,
+                             ids=[line for line, _, _ in SELFCHECK_BREAKS])
+    def test_each_line_fails_on_its_own_broken_kernel(self, monkeypatch, capsys, line, kernel,
+                                                       corrupt):
+        real = operator.attrgetter(kernel)(selfcheck)
+        monkeypatch.setattr(f"zonegraph.selfcheck.{kernel}", lambda *args: corrupt(real(*args)))
+        assert run(["selfcheck"]) == 1
+        failed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith(f"FAIL {line}:"), failed

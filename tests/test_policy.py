@@ -29,11 +29,12 @@ from zonegraph.policy import (
     train,
     _episode_rng,
 )
-from zonegraph.selfcheck import fd_check, random_edge_matrix, random_trajectory
+from zonegraph.selfcheck import random_edge_matrix, random_trajectory
 from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_objects
 
-from conftest import (actor_critic_backward, gcn_backward, gcn_forward, image_feature,
-                      lstm_backward, lstm_step_split, make_scene, unfactored_cell_step)
+from conftest import (actor_critic_backward, fd_check, gcn_backward, gcn_forward,
+                      image_feature, lstm_backward, lstm_step_split, make_scene,
+                      unfactored_cell_step)
 
 ALL_MASKS = [frozenset(m) for k in range(len(policy.MASKABLE) + 1)
              for m in itertools.combinations(sorted(policy.MASKABLE), k)]

@@ -25,3 +25,24 @@ class TestGraphDigest:
         other, _ = digest.digest(sets[1:2])
         assert all(other[stage] != first[stage] for stage in digest.STAGES)
         assert sorted((p.name, p.stat().st_mtime_ns) for p in data.iterdir()) == before
+
+
+class TestCodeLines:
+    def test_counts_no_blank_line_comment_or_docstring(self):
+        code_lines = load_script("code_lines")
+        source = ('"""Module\ndocstring."""\n\nimport os  # a comment\n\n\n'
+                  'def f(x):\n    """Docstring."""\n    # a comment\n'
+                  '    return (x +\n            1)\n\n\nTEXT = """a\nb"""\n')
+        # import, def, the two lines of return and the two of TEXT
+        assert code_lines.code_lines(source) == 6
+
+    def test_prints_each_file_then_the_totals(self, tmp_path, capsys):
+        code_lines = load_script("code_lines")
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+        (tmp_path / "tests" / "test_a.py").write_text("# only a comment\n\nz = 3\n")
+        code_lines.main(tmp_path)
+        assert capsys.readouterr().out.splitlines() == [
+            "     2  src/pkg/a.py", "     1  tests/test_a.py",
+            "     2  src/ total", "     1  tests/ total", "     3  total"]

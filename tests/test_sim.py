@@ -291,6 +291,17 @@ class TestNearGeometry:
             assert repr(scene.near_objects(x, z)) == want
             assert repr(scene.near_objects(x, z)) == want  # from the memo
 
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_gets_the_answer_for_zero_in_either_order(self, first):
+        # -0.0 and 0.0 share a memo key. From (0.0, 0.0) an object at
+        # x = -0.0 lies at angle -0.0, from (-0.0, 0.0) at 0.0
+        base = make_scene(2, 2, [("Sink", 0, 1, "low")])
+        scene = dataclasses.replace(base, objects=(dataclasses.replace(base.objects[0], x=-0.0),))
+        want = repr(near_objects_reference(scene, 0.0, 0.0))
+        assert want != repr(near_objects_reference(scene, -0.0, 0.0))
+        for x in (first, -first):
+            assert repr(scene.near_objects(x, 0.0)) == want
+
     @pytest.mark.parametrize("room", ROOM_CATEGORIES)
     def test_generated_scene_every_cell(self, room):
         scene = generate_scene(room, (16, 16), 1)
