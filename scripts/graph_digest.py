@@ -7,6 +7,7 @@ back through the scene-v1 text. Each scene is swept once and clustered at
 k-means seeds 0 and 1, with the build-graph defaults (8 zones, eps 0.5, a
 64-dimensional synthetic embedding at seed 0). The stages are:
 
+    scene      the scene-v1 text of each generated scene
     sweep      positions, distinct rows, row index and detection counts
     zones      labels and centers of each clustering
     graph      nodes and edges of each scene graph
@@ -35,7 +36,7 @@ from zonegraph.graph import (DEFAULT_EPS, DEFAULT_ZONES, build_room_graph, clust
 from zonegraph.sim import CELL, generate_scene, scene_from_text, scene_to_text
 
 SCENE_SETS = Path(__file__).resolve().parent.parent / "bench" / "data" / "scene_sets.json"
-STAGES = ("sweep", "zones", "graph", "text", "near")
+STAGES = ("scene", "sweep", "zones", "graph", "text", "near")
 KMEANS_SEEDS = (0, 1)
 
 
@@ -59,6 +60,7 @@ def digest(sets) -> tuple[dict[str, str], int]:
     for room, size, seeds in sets:
         for seed in seeds:
             text = scene_to_text(generate_scene(room, size, seed))
+            hashes["scene"].update(text.encode())
             fmap = sweep_position_features(scene_from_text(text), provider)
             hashes["sweep"].update(repr(fmap.positions).encode())
             for array in (fmap.rows, fmap.index, fmap.counts):

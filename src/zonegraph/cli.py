@@ -190,6 +190,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen_scenes(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     w, _, d = args.size.lower().partition("x")
     try:
         size = (int(w), int(d))

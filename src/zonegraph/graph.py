@@ -51,8 +51,11 @@ class PositionFeatureMap:
 
 @dataclass
 class ZoneAssignment:
+    """Zones of the swept positions. `centers[c]` is the mean feature of the
+    positions labelled c, and every zone has members."""
+
     labels: np.ndarray  # (S,) intp zone id of each position, in positions order
-    centers: np.ndarray  # (M, D) member means
+    centers: np.ndarray  # (M, D) member means of labels
 
     @property
     def zone_count(self) -> int:
@@ -87,20 +90,25 @@ def _yaw_mask(angle: float | None) -> int:
 
 
 def _first_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of the 2-D uint8 array `a` by their bytes.
-    Returns the index of each group's first row, groups in order of first
-    appearance, and each row's group. (`np.unique` over a void view of the
-    rows is no faster here, and its first call grows peak RSS.)"""
-    width, buf = a.shape[1], a.tobytes()
-    groups: dict[bytes, int] = {}
-    first: list[int] = []
-    index: list[int] = []
-    for i in range(len(a)):
-        group = groups.setdefault(buf[i * width:(i + 1) * width], len(first))
-        if group == len(first):
-            first.append(i)
-        index.append(group)
-    return np.array(first, dtype=np.intp), np.array(index, dtype=np.intp)
+    """Group the equal rows of the 2-D uint8 array `a`. Returns the index of
+    each group's first row, groups in order of first appearance, and each
+    row's group. A stable sort over the rows, read as 8-byte words, puts each
+    group in one block, first row first. (`np.unique` over a void view of
+    the rows grows peak RSS at its first call.)"""
+    words = np.zeros((len(a), -(-a.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :a.shape[1]] = a
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+    block = np.cumsum(starts) - 1  # each sorted row's block
+    heads = order[starts]  # each block's first row
+    by_head = np.argsort(heads, kind="stable")
+    rank = np.empty(len(heads), dtype=np.intp)
+    rank[by_head] = np.arange(len(heads))
+    index = np.empty(len(a), dtype=np.intp)
+    index[order] = rank[block]
+    return heads[by_head], index
 
 
 def sweep_position_features(scene: Scene, provider: EmbeddingProvider) -> PositionFeatureMap:
@@ -207,8 +215,11 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
         log.info("k-means++ produced %d centers for requested %d (duplicate features)",
                  len(centers), zones)
 
+    labels = None
     for _ in range(_KMEANS_MAX_ITER):
-        labels = _nearest(ux, centers)[inverse]
+        previous, labels = labels, _nearest(ux, centers)[inverse]
+        if previous is not None and np.array_equal(labels, previous):
+            break  # the centers already are these labels' member means
         keep, new_centers = _member_means(x, labels, len(centers))
         if len(keep) < len(centers):
             log.info("dropping %d empty cluster(s)", len(centers) - len(keep))
@@ -227,16 +238,17 @@ def cluster_zones(feature_map: PositionFeatureMap, zones: int, seed: int) -> Zon
 
 def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap,
                      eps: float = DEFAULT_EPS, room_category: str = "") -> KnowledgeGraph:
-    """Zone node = mean member feature; edge (m, n) = fraction of cross-zone
-    position pairs within Manhattan distance eps; diagonal fixed at 1.
+    """Zone node = mean member feature, which is the assignment's center;
+    edge (m, n) = fraction of cross-zone position pairs within Manhattan
+    distance eps; diagonal fixed at 1.
 
     The positions must be distinct points of the 0.5 m lattice, as the
     sweep's are. Two of them lie within eps iff their offset of (a, b)
     cells has CELL * |a| + CELL * |b| <= eps, the same float comparison as
     on their coordinates, so the pairs are counted one offset at a time."""
     m, labels = assignment.zone_count, assignment.labels
-    keep, nodes = _member_means(feature_map.features, labels, m)
-    if len(keep) < m:
+    sizes = np.bincount(labels, minlength=m)
+    if not sizes.all():
         raise UsageError("assignment has empty zones")
     pos = np.array(feature_map.positions, dtype=float).reshape(-1, 2)
     cells = np.rint(pos / CELL)
@@ -262,10 +274,9 @@ def build_room_graph(assignment: ZoneAssignment, feature_map: PositionFeatureMap
     pairs = labels * (m + 1)
     for shift in (offsets @ (grid.shape[1], 1)).tolist():
         hits += np.bincount(pairs + flat[at + shift], minlength=m * (m + 1))
-    sizes = np.bincount(labels, minlength=m)
     edges = hits.reshape(m, m + 1)[:, :m] / np.outer(sizes, sizes)
     np.fill_diagonal(edges, 1.0)
-    return KnowledgeGraph(nodes=nodes, edges=edges, room_category=room_category)
+    return KnowledgeGraph(nodes=assignment.centers, edges=edges, room_category=room_category)
 
 
 def build_scene_graph(scene: Scene, provider: EmbeddingProvider, zones: int = DEFAULT_ZONES,

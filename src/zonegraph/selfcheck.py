@@ -24,7 +24,7 @@ from . import nn
 from .controller import GraphState, adapt_graph, max_product_path, plan_subgoal
 from .embedding import EmbeddingProvider
 from .graph import (KnowledgeGraph, PositionFeatureMap, ZoneAssignment, build_room_graph,
-                    match_graphs, matching_objective, sweep_position_features)
+                    cluster_zones, match_graphs, matching_objective, sweep_position_features)
 from .policy import TrainConfig, Trajectory, a2c_loss_and_grads
 from .sim import CELL, ObjectInstance, Scene
 
@@ -164,14 +164,15 @@ def equation_algebra() -> tuple[float, tuple[int, int, int]]:
     dev = max(dev, float(np.max(np.abs(fmap_c.features[k] - (2 * a + b) / 3))))
     counts = (int(fmap.counts[i]), int(fmap_b.counts[j]), int(fmap_c.counts[k]))
 
-    # zone means
+    # zone means: two zones of three features, clustered, then graphed;
+    # the graph's nodes are the clustering's centers
     positions = ((0.0, 0.0), (0.5, 0.0), (2.0, 0.0))
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 4.0]])
     pf = PositionFeatureMap(positions, feats, np.arange(3), np.array([1, 1, 1]))
-    za = ZoneAssignment(np.array([0, 0, 1]), np.array([[0.5, 0.5], [4.0, 4.0]]))
+    za = cluster_zones(pf, 2, 0)
     g = build_room_graph(za, pf, eps=0.5)
-    dev = max(dev, float(np.max(np.abs(g.nodes[0] - [0.5, 0.5]))))
-    dev = max(dev, float(np.max(np.abs(g.nodes[1] - [4.0, 4.0]))))
+    dev = max(dev, float(np.max(np.abs(g.nodes[za.labels[0]] - [0.5, 0.5]))))
+    dev = max(dev, float(np.max(np.abs(g.nodes[za.labels[2]] - [4.0, 4.0]))))
 
     # edge probabilities: adjacent / far / mixed = 1.0 / 0.0 / 0.5
     p1, p2 = (0.0, 0.0), (0.5, 0.0)

@@ -402,46 +402,46 @@ def _load_templates() -> dict[str, list[ZoneTemplate]]:
     return out
 
 
-def _connected(reach: np.ndarray) -> bool:
-    """Whether the true cells of the bitmap form one 4-connected component;
-    an empty bitmap does not."""
-    grid = reach.tolist()  # Python bools: indexing numpy scalars costs more
+def _bitboard(reach: np.ndarray) -> tuple[int, int]:
+    """The true cells of a (depth, width) bitmap as one Python int, and the
+    stride of its rows: cell (iz, ix) is bit iz * stride + ix, and stride is
+    width + 1. The bit after each row stays clear, a guard column, so that a
+    shift by one never carries a cell from one row's end to the next row's
+    start."""
     depth, width = reach.shape
-    cells = [(iz, ix) for iz, row in enumerate(grid) for ix, free in enumerate(row) if free]
+    board = np.zeros((depth, width + 1), dtype=bool)
+    board[:, :width] = reach
+    return int.from_bytes(np.packbits(board, bitorder="little").tobytes(), "little"), width + 1
+
+
+def _around(cell: int, stride: int) -> int:
+    """The bits of a board cell and of its four neighbours."""
+    bit = 1 << cell
+    return bit | bit << 1 | bit >> 1 | bit << stride | bit >> stride
+
+
+def _connected(cells: int, stride: int) -> bool:
+    """Whether the set bits of a board (see `_bitboard`) form one
+    4-connected component; an empty board does not. One flood grows from the
+    lowest set bit, every cell of its front at once, until it stops."""
     if not cells:
         return False
-    seen = {cells[0]}
-    frontier = [cells[0]]
-    while frontier:
-        iz, ix = frontier.pop()
-        for dz, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-            z, x = iz + dz, ix + dx
-            if 0 <= z < depth and 0 <= x < width and grid[z][x] and (z, x) not in seen:
-                seen.add((z, x))
-                frontier.append((z, x))
-    return len(seen) == len(cells)
+    flood = cells & -cells
+    while True:
+        grown = (flood | flood << 1 | flood >> 1 | flood << stride | flood >> stride) & cells
+        if grown == flood:
+            return flood == cells
+        flood = grown
 
 
-def _has_reachable_neighbor(reach: np.ndarray, iz: int, ix: int) -> bool:
-    for dz, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-        z, x = iz + dz, ix + dx
-        if 0 <= z < reach.shape[0] and 0 <= x < reach.shape[1] and reach[z, x]:
-            return True
-    return False
-
-
-def _can_block(reach: np.ndarray, iz: int, ix: int, object_cells: list[tuple[int, int]], min_free: int) -> bool:
-    if not reach[iz, ix]:
-        return False
-    trial = reach.copy()
-    trial[iz, ix] = False
-    if trial.sum() < min_free:
-        return False
-    if not _connected(trial):
-        return False
-    if not _has_reachable_neighbor(trial, iz, ix):
-        return False
-    return all(_has_reachable_neighbor(trial, z, x) for z, x in object_cells)
+def _can_block(board: int, stride: int, cell: int, blocked: list[int], min_free: int) -> bool:
+    """Whether board cell `cell` can take an object: the free cells left stay
+    one component of at least `min_free`, and it and every cell of
+    `blocked` keep a free neighbour."""
+    trial = board & ~(1 << cell)
+    return (trial != board and trial.bit_count() >= min_free
+            and all(trial & _around(c, stride) for c in (*blocked, cell))
+            and _connected(trial, stride))
 
 
 def generate_scene(room_category: str, size: tuple[int, int], seed: int) -> Scene:
@@ -469,19 +469,20 @@ def generate_scene(room_category: str, size: tuple[int, int], seed: int) -> Scen
             continue
 
         reach = np.ones((depth, width), dtype=bool)
-        all_cells = [(iz, ix) for iz in range(depth) for ix in range(width)]
-        anchor_idx = rng.choice(len(all_cells), size=len(chosen), replace=False)
-        anchors = [all_cells[int(i)] for i in anchor_idx]
+        board, stride = _bitboard(reach)
+        anchors = [divmod(int(i), width) for i in
+                   rng.choice(depth * width, size=len(chosen), replace=False)]
 
-        object_cells: list[tuple[int, int]] = []
+        blocked: list[int] = []  # board cells of the objects placed so far
         objects: list[ObjectInstance] = []
         ok = True
         for tpl, (aiz, aix) in zip(chosen, anchors):
             want = min(3, max(1, (len(tpl.items) + 2) // 3))
+            # the cells within 2 steps of the anchor, in scan order
             ring = [
                 (iz, ix)
-                for iz in range(depth)
-                for ix in range(width)
+                for iz in range(max(aiz - 2, 0), min(aiz + 3, depth))
+                for ix in range(max(aix - 2, 0), min(aix + 3, width))
                 if abs(iz - aiz) + abs(ix - aix) <= 2
             ]
             ring = [ring[int(i)] for i in rng.permutation(len(ring))]
@@ -490,10 +491,12 @@ def generate_scene(room_category: str, size: tuple[int, int], seed: int) -> Scen
             for ciz, cix in ring:
                 if len(zone_cells) == want:
                     break
-                if _can_block(reach, ciz, cix, object_cells, min_free):
+                cell = ciz * stride + cix
+                if _can_block(board, stride, cell, blocked, min_free):
+                    board &= ~(1 << cell)
                     reach[ciz, cix] = False
                     zone_cells.append((ciz, cix))
-                    object_cells.append((ciz, cix))
+                    blocked.append(cell)
             if not zone_cells:
                 ok = False
                 break
@@ -502,8 +505,8 @@ def generate_scene(room_category: str, size: tuple[int, int], seed: int) -> Scen
                 objects.append(ObjectInstance(cat, cix * CELL, ciz * CELL, band))
         if not ok:
             continue
-        goal_objs = sum(1 for o in objects if o.category in GOAL_SET)
-        if goal_objs < 4 or not _connected(reach):
+        # every placed object kept the free cells one component
+        if sum(1 for o in objects if o.category in GOAL_SET) < 4:
             continue
         scene = Scene(
             id=f"{room_category}-{width}x{depth}-{seed}",
@@ -526,7 +529,8 @@ def validate_scene(scene: Scene) -> None:
         raise FormatError(f"unknown room category {scene.room_category!r}")
     if scene.reachable.shape != (scene.depth, scene.width):
         raise FormatError("reachability bitmap does not match declared size")
-    if not _connected(scene.reachable):
+    cells, stride = _bitboard(scene.reachable)
+    if not _connected(cells, stride):
         raise FormatError("reachable cells are disconnected")
     goal_objs = sum(1 for o in scene.objects if o.category in GOAL_SET)
     if goal_objs < 4:
@@ -539,7 +543,7 @@ def validate_scene(scene: Scene) -> None:
             raise FormatError(f"object {o.category} off the 0.5 m lattice")
         if o.height_band not in BAND_PITCH:
             raise FormatError(f"object {o.category} has bad height band {o.height_band!r}")
-        if not _has_reachable_neighbor(scene.reachable, iz, ix) and not scene.reachable[iz, ix]:
+        if not cells & _around(iz * stride + ix, stride):
             raise FormatError(f"object {o.category} not adjacent to any reachable cell")
 
 
@@ -548,11 +552,7 @@ def validate_scene(scene: Scene) -> None:
 
 
 def scene_to_text(scene: Scene) -> str:
-    bitmap = "".join(
-        "1" if scene.reachable[iz, ix] else "0"
-        for iz in range(scene.depth)
-        for ix in range(scene.width)
-    )
+    bitmap = (scene.reachable.view(np.uint8) + ord("0")).tobytes().decode()
     lines = [
         "scene-v1",
         f"id {scene.id}",
@@ -591,7 +591,7 @@ def scene_from_text(text: str) -> Scene:
     bitmap = need(5, "reachable").strip()
     if len(bitmap) != width * depth or set(bitmap) - {"0", "1"}:
         raise FormatError("line 6: reachability bitmap does not match size")
-    reach = np.array([c == "1" for c in bitmap], dtype=bool).reshape(depth, width)
+    reach = (np.frombuffer(bitmap.encode(), dtype=np.uint8) == ord("1")).reshape(depth, width)
     try:
         count = int(need(6, "objects"))
     except ValueError:

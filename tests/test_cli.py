@@ -120,6 +120,15 @@ class TestGenScenes:
         for fa, fb in zip(sorted((tmp_path / "a").iterdir()), sorted((tmp_path / "b").iterdir())):
             assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, count):
+        code = run_cli("gen-scenes", "--room", "bedroom", "--count", count,
+                       "--out", str(tmp_path / "scenes"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=usage:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "scenes").exists()
+
     def test_unknown_flag_single_line_error(self, tmp_path, capsys):
         code = run_cli("gen-scenes", "--room", "bedroom", "--frobnicate", "1",
                        "--out", str(tmp_path))

@@ -395,14 +395,18 @@ class TestRoomGraph:
         rng = np.random.default_rng(2)
         positions = [(0.5 * i, 0.0) for i in range(6)]
         feats = rng.normal(size=(6, 4))
+        labels = np.array([0, 0, 0, 0, 1, 1])
+
+        def assignment(f):  # centers are the member means, as cluster_zones gives them
+            return ZoneAssignment(labels, np.array([f[labels == c].mean(axis=0) for c in (0, 1)]))
+
         fmap = self._fmap(positions, feats)
-        za = ZoneAssignment(np.array([0, 0, 0, 0, 1, 1]), np.zeros((2, 4)))
-        g = build_room_graph(za, fmap, eps=0.5)
+        g = build_room_graph(assignment(feats), fmap, eps=0.5)
         np.testing.assert_allclose(g.nodes[0], feats[:4].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(g.nodes[1], feats[4:].mean(axis=0), atol=1e-12)
         # scaling every member feature scales the node
         fmap2 = self._fmap(positions, feats * 2.5)
-        g2 = build_room_graph(za, fmap2, eps=0.5)
+        g2 = build_room_graph(assignment(feats * 2.5), fmap2, eps=0.5)
         np.testing.assert_allclose(g2.nodes, g.nodes * 2.5, atol=1e-12)
 
     @pytest.mark.parametrize("labels", [[0, 0, 2], [1, 1, 1]])

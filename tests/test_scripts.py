@@ -1,5 +1,8 @@
+import hashlib
 import importlib.util
 from pathlib import Path
+
+from zonegraph.sim import generate_scene, scene_to_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +24,9 @@ class TestGraphDigest:
         first, scenes = digest.digest(sets[:1])
         assert scenes == 4 and list(first) == list(digest.STAGES)
         assert all(len(h) == 64 for h in first.values())
+        room, size, seeds = sets[0]
+        texts = "".join(scene_to_text(generate_scene(room, size, seed)) for seed in seeds)
+        assert first["scene"] == hashlib.sha256(texts.encode()).hexdigest()
         assert digest.digest(sets[:1]) == (first, 4)
         other, _ = digest.digest(sets[1:2])
         assert all(other[stage] != first[stage] for stage in digest.STAGES)

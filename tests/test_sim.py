@@ -20,6 +20,7 @@ from zonegraph.sim import (
     Sighting,
     VIS_RANGE_SQ,
     YAWS,
+    _bitboard,
     _connected,
     generate_scene,
     goal_visible,
@@ -128,6 +129,18 @@ def connected_reference(reach: np.ndarray) -> bool:
     return len(seen) == len(cells)
 
 
+def serpentine(n: int) -> np.ndarray:
+    """An n x n path that runs along every even row, turning at alternate
+    ends, and stops at cell (iz, ix) = (n - 2, n - 1); one more cell sits
+    alone at (n - 1, 0), next to that end only across the row boundary."""
+    reach = np.zeros((n, n), dtype=bool)
+    reach[0:n - 2:2] = True
+    reach[1:n - 2:4, n - 1] = True
+    reach[3:n - 2:4, 0] = True
+    reach[n - 2, n - 1] = reach[n - 1, 0] = True
+    return reach
+
+
 class TestConnected:
     @pytest.mark.parametrize("reach, want", [
         (np.zeros((0, 0), dtype=bool), False),
@@ -140,16 +153,28 @@ class TestConnected:
         (np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]], dtype=bool), True),
         (np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=bool), True),
         (np.array([[1, 0, 1], [1, 0, 1], [1, 0, 1]], dtype=bool), False),
+        # a row's last cell and the next row's first are not neighbours
+        (np.array([[0, 0, 1], [1, 0, 0]], dtype=bool), False),
+        (serpentine(16), False),
     ], ids=["0x0", "all-false", "single-cell", "one-of-a-row", "all-true", "checkerboard",
-            "checkerboard-1x2", "snake", "u-shape", "two-columns"])
+            "checkerboard-1x2", "snake", "u-shape", "two-columns", "row-wrap",
+            "serpentine-16x16"])
     def test_cases(self, reach, want):
-        assert _connected(reach) is want
+        assert _connected(*_bitboard(reach)) is want
         assert connected_reference(reach) is want
+
+    def test_serpentine_floods_more_than_64_rounds(self):
+        # without its lone cell the serpentine is one component, whose far
+        # end lies more than 64 steps from the first cell
+        reach = serpentine(16)
+        reach[15, 0] = False
+        assert _connected(*_bitboard(reach)) is True
+        assert flood_fill_hops(reach, (0, 0), {(15, 14)}) > 64
 
     @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16)),
                   elements=st.booleans()))
     def test_equals_reference(self, reach):
-        assert _connected(reach) is connected_reference(reach)
+        assert _connected(*_bitboard(reach)) is connected_reference(reach)
 
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
            st.floats(0.3, 0.9))
@@ -157,7 +182,7 @@ class TestConnected:
         # a random bitmap of either kind is mostly disconnected; dense ones
         # exercise the connected answer too
         reach = np.random.default_rng(seed).random((depth, width)) < density
-        assert _connected(reach) is connected_reference(reach)
+        assert _connected(*_bitboard(reach)) is connected_reference(reach)
 
 
 class TestGeneration:
