@@ -41,6 +41,11 @@ compare the two directories:
     PYTHONPATH=<parent>/src python scripts/golden_outputs.py /tmp/before
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
+
+The script pins the BLAS and OpenMP pools to one thread before numpy is
+imported, as the benchmark does: the training checkpoints differ in the
+last digits of some floats between thread counts, so outputs written on
+machines with different core counts would not otherwise compare equal.
 """
 
 import contextlib
@@ -49,7 +54,10 @@ import os
 import sys
 from pathlib import Path
 
-from zonegraph import cli
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from zonegraph import cli  # after the pins: numpy reads them once, on import
 from zonegraph.categories import ROOM_CATEGORIES
 
 CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "data" / "eval.ckpt"

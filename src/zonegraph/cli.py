@@ -31,7 +31,7 @@ from .graph import (
 from .metrics import evaluate, report_summary_line, report_to_text, split_by_name
 from .policy import MASKABLE, TrainConfig, train
 from .selfcheck import run_selfcheck
-from .sim import generate_scene, load_scene, save_scene
+from .sim import DEFAULT_T_MAX, generate_scene, load_scene, save_scene
 from .textio import float_row, read_text, write_text
 
 
@@ -308,12 +308,14 @@ def load_checkpoint_bundle(path):
     """Split a checkpoint into (policy params, graph, provider, meta). The
     arrays must be exactly the policy parameters of the header's D, N and H
     (names and shapes as nn.param_shapes gives them) plus the (M, N) graph
-    nodes and (M, M) edges, and the edges must keep kg-v1's edge rules;
-    anything else is a FormatError. The parser has already rejected
-    non-finite values."""
+    nodes and (M, M) edges, the edges must keep kg-v1's edge rules, and a
+    t_max must be an integer of at least 1 (an absent one is set to the
+    default); anything else is a FormatError. The parser has already
+    rejected non-finite values."""
     arrays, meta = nn.load_checkpoint(path)
     try:
         dim, n_feat, zones, hidden = (int(meta[k]) for k in ("D", "N", "M", "H"))
+        t_max = int(meta.setdefault("t_max", str(DEFAULT_T_MAX)))
         emb = EmbeddingCfg(dim=dim, mode=meta.get("emb_mode", "synthetic"),
                            seed=int(meta.get("emb_seed", 0)), path=meta.get("emb_path", ""))
     except KeyError as e:
@@ -322,6 +324,8 @@ def load_checkpoint_bundle(path):
         raise FormatError(f"checkpoint field is not an integer: {e}") from None
     if min(dim, n_feat, zones, hidden) < 1:
         raise FormatError("checkpoint sizes D, N, M and H must be positive")
+    if t_max < 1:
+        raise FormatError(f"checkpoint t_max must be at least 1, got {t_max}")
     expected = nn.param_shapes(dim, n_feat, hidden)
     expected.update(graph_nodes=(zones, n_feat), graph_edges=(zones, zones))
     if set(arrays) != set(expected):
@@ -369,7 +373,7 @@ def cmd_eval(args) -> int:
     report = evaluate(
         params, graph, provider, scenes, split,
         episodes_per_seed=args.episodes, seeds=seeds,
-        policy=args.policy, mask=mask, t_max=int(meta.get("t_max", 100)),
+        policy=args.policy, mask=mask, t_max=int(meta["t_max"]),
         record_sink=sink,
     )
     header = {"policy": args.policy, "mask": ",".join(sorted(mask)) or "none",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, NonFiniteError, UsageError
 from .sim import NUM_ACTIONS, SEED_MASK
-from .textio import float_row, header_fields, parse_floats, read_text, write_text
+from .textio import float_row, header_fields, parse_float_row, read_text, write_text
 
 DEFAULT_HIDDEN = 128
 
@@ -383,7 +383,7 @@ def checkpoint_from_text(text: str) -> tuple[dict, dict]:
         if not all(d.isdecimal() for d in dims):
             raise FormatError(f"line {i + 1}: bad shape for array {name!r}")
         shape = tuple(map(int, dims))
-        flat = parse_floats(lines[i + 1].split(), i + 2, math.prod(shape))
+        flat = parse_float_row(lines[i + 1], i + 2, math.prod(shape))
         try:
             arrays[name] = flat.reshape(shape)
         except ValueError:  # an empty array with a dimension numpy cannot index

@@ -596,21 +596,46 @@ def scene_from_text(text: str) -> Scene:
         count = int(need(6, "objects"))
     except ValueError:
         raise FormatError("line 7: bad object count") from None
-    objects = []
+    # Every record's coordinates are converted in one call after the loop. A
+    # record's structural error is raised only after the coordinates of the
+    # records before it have been checked, so the first bad line is named,
+    # with a bad coordinate ahead of a bad band on the same line.
+    rows, problem = [], None
     for j in range(count):
-        parts = need(7 + j, "").split()
+        try:
+            parts = need(7 + j, "").split()
+        except FormatError as e:
+            problem = e
+            break
         if len(parts) != 4:
-            raise FormatError(f"line {8 + j}: expected 'category x z band'")
-        cat, _, _, band = parts
-        x, z = parse_floats(parts[1:3], 8 + j).tolist()
-        if band not in BAND_PITCH:
-            raise FormatError(f"line {8 + j}: bad height band {band!r}")
-        objects.append(ObjectInstance(cat, x, z, band))
+            problem = FormatError(f"line {8 + j}: expected 'category x z band'")
+            break
+        rows.append(parts)
+        if parts[3] not in BAND_PITCH:
+            problem = FormatError(f"line {8 + j}: bad height band {parts[3]!r}")
+            break
+    xz = _object_coordinates(rows)
+    if problem is not None:
+        raise problem
+    objects = [ObjectInstance(cat, x, z, band)
+               for (cat, _, _, band), x, z in zip(rows, xz[0::2], xz[1::2])]
     if len(lines) > 7 + count and any(l.strip() for l in lines[7 + count :]):
         raise FormatError(f"line {8 + count}: trailing content after object records")
     scene = Scene(sid, room, width, depth, reach, tuple(objects), seed)
     validate_scene(scene)
     return scene
+
+
+def _object_coordinates(rows: list[list[str]]) -> list[float]:
+    """The x and z of every object record, in one list; the records start
+    on line 8. On an error they are parsed again one at a time, so that the
+    FormatError names the first bad record's line."""
+    try:
+        return parse_floats([v for parts in rows for v in parts[1:3]], 8).tolist()
+    except FormatError:
+        for j, parts in enumerate(rows):
+            parse_floats(parts[1:3], 8 + j)
+        raise
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -51,12 +51,45 @@ def float_row(values) -> str:
 def parse_floats(parts: list[str], lineno: int, count: int | None = None) -> np.ndarray:
     """Line `lineno`'s float tokens as an array: exactly `count` of them when
     given, each parsable and finite."""
-    if count is not None and len(parts) != count:
-        raise FormatError(f"line {lineno}: expected {count} floats, got {len(parts)}")
-    try:
-        values = np.array(parts, dtype=float)
-    except ValueError:
-        raise FormatError(f"line {lineno}: unparsable float") from None
+    return _floats((parts,), lineno, count)
+
+
+_PARSE_CHARS = 1 << 16  # characters of a row split and converted at a time
+
+
+def parse_float_row(line: str, lineno: int, count: int) -> np.ndarray:
+    """`parse_floats(line.split(), lineno, count)`, a bounded slice of the
+    line at a time, so no token list of a long row is ever built."""
+    return _floats(_token_chunks(line), lineno, count)
+
+
+def _token_chunks(line: str):
+    """The line's tokens in lists of about `_PARSE_CHARS` characters each,
+    cut at spaces so that no token is split; always at least one list."""
+    start = 0
+    while (stop := line.find(" ", start + _PARSE_CHARS)) >= 0:
+        yield line[start:stop].split()
+        start = stop
+    yield line[start:].split()
+
+
+def _floats(chunks, lineno: int, count: int | None) -> np.ndarray:
+    """The one float parser. The checks run in one order over the whole
+    line, whatever its chunks: the token count, then any unparsable token,
+    then any non-finite value."""
+    pieces, got = [], 0
+    for parts in chunks:
+        got += len(parts)
+        if pieces is not None:
+            try:
+                pieces.append(np.array(parts, dtype=float))
+            except ValueError:
+                pieces = None  # keep counting: a wrong count is reported first
+    if count is not None and got != count:
+        raise FormatError(f"line {lineno}: expected {count} floats, got {got}")
+    if pieces is None:
+        raise FormatError(f"line {lineno}: unparsable float")
+    values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     if not np.isfinite(values).all():
         raise FormatError(f"line {lineno}: non-finite value")
     return values

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import operator
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -12,6 +16,8 @@ from zonegraph.cli import Config, load_checkpoint_bundle, parse_config_text, run
 from zonegraph.errors import ConfigError
 from zonegraph.graph import load_graph
 from zonegraph.sim import load_scene
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv, capsys=None):
@@ -300,16 +306,66 @@ class TestTrainEval:
     @pytest.mark.parametrize("field, bad, category", [
         ("emb_mode=synthetic", "emb_mode=file", "config"),  # file mode without emb_path
         ("D=16", "D=sixteen", "format"),
+        # t_max=0 would run one-step episodes and report SR=0.00 as measured
+        ("t_max=15", "t_max=abc", "format"),
+        ("t_max=15", "t_max=0", "format"),
+        ("t_max=15", "t_max=-5", "format"),
     ])
     def test_eval_bad_checkpoint_header(self, pipeline, tmp_path, capsys, field, bad, category):
         header, _, body = (pipeline / "model.ckpt").read_text().partition("\n")
+        header += " "  # every field, the last one too, has a space either side
         assert f" {field} " in header and "emb_path" not in header
         ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_text(header.replace(f" {field} ", f" {bad} ") + "\n" + body)
+        ckpt.write_text(header.replace(f" {field} ", f" {bad} ").rstrip() + "\n" + body)
         code = run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
                     "--episodes", "1", "--seeds", "1"])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error category={category}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category={category}:") and len(err.strip().splitlines()) == 1
+
+    def test_checkpoint_without_t_max_evaluates_at_the_default(self, pipeline, tmp_path):
+        header, _, body = (pipeline / "model.ckpt").read_text().partition("\n")
+        ckpt = tmp_path / "no-t_max.ckpt"
+        assert header.endswith(" t_max=15")
+        ckpt.write_text(header.removesuffix(" t_max=15") + "\n" + body)
+        assert load_checkpoint_bundle(ckpt)[3]["t_max"] == "100"
+        assert run(["eval", "--ckpt", str(ckpt), "--scenes", str(pipeline / "scenes"),
+                    "--episodes", "1", "--seeds", "1", "--out", str(tmp_path / "r.txt")]) == 0
+
+    def test_only_the_graph_merge_loads_scipy(self, pipeline, tmp_path):
+        # a fresh process: scipy.optimize costs ~0.3 s and ~45 MB to import,
+        # and only build-graph's merge uses it
+        script = textwrap.dedent("""
+            import sys
+            from zonegraph.cli import run
+            root, out = sys.argv[1], sys.argv[2]
+
+            def loaded():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            steps = [
+                ["gen-scenes", "--room", "kitchen", "--count", "2", "--seed", "3",
+                 "--size", "6x6", "--out", out + "/scenes"],
+                ["train", "--scenes", root + "/scenes", "--graph", root + "/g.kg",
+                 "--config", root + "/train.cfg", "--episodes", "2",
+                 "--out", out + "/m.ckpt"],
+                ["eval", "--ckpt", root + "/model.ckpt", "--scenes", root + "/scenes",
+                 "--episodes", "2", "--seeds", "1", "--out", out + "/r.txt"],
+                ["inspect-graph", root + "/g.kg"],
+            ]
+            for argv in steps:
+                assert run(argv) == 0, argv
+                assert not loaded(), (argv[0], loaded())
+            assert run(["build-graph", "--scenes", root + "/scenes", "--room", "kitchen",
+                        "--zones", "4", "--dim", "16", "--out", out + "/g.kg"]) == 0
+            assert "scipy.optimize" in loaded()
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script, str(pipeline), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert (tmp_path / "g.kg").read_bytes() == (pipeline / "g.kg").read_bytes()
 
     @staticmethod
     def _edit_array(text, name, edit):

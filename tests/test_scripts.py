@@ -1,5 +1,10 @@
 import hashlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 from zonegraph.sim import generate_scene, scene_to_text
@@ -52,3 +57,36 @@ class TestCodeLines:
         assert capsys.readouterr().out.splitlines() == [
             "     2  src/pkg/a.py", "     1  tests/test_a.py",
             "     2  src/ total", "     1  tests/ total", "     3  total"]
+
+
+class TestGoldenOutputs:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_pins_one_blas_thread_before_numpy_is_imported(self):
+        # numpy reads the variables once, when it is first imported, so the
+        # script is loaded in a fresh process with none of them set, and a
+        # finder records them at the moment numpy is looked up
+        script = textwrap.dedent("""
+            import importlib.abc, importlib.util, json, os, sys
+            names, path = sys.argv[1].split(","), sys.argv[2]
+            seen = {}
+
+            class Spy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, target_path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.update((v, os.environ.get(v)) for v in names)
+                    return None
+
+            sys.meta_path.insert(0, Spy())
+            spec = importlib.util.spec_from_file_location("golden_outputs", path)
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+            print(json.dumps(seen))
+        """)
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, ",".join(self.BLAS_VARS),
+             str(ROOT / "scripts" / "golden_outputs.py")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == {v: "1" for v in self.BLAS_VARS}

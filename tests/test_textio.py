@@ -3,6 +3,7 @@ formats: a valid text round-trips byte for byte, and any text either loads
 as a valid object or raises a ZonegraphError."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from zonegraph.embedding import EmbeddingProvider, embeddings_from_text, embeddi
 from zonegraph.errors import FormatError, ZonegraphError
 from zonegraph.graph import KnowledgeGraph, graph_from_text, graph_to_text, load_graph
 from zonegraph.sim import generate_scene, load_scene, scene_from_text, scene_to_text
-from zonegraph.textio import float_row, header_fields, parse_floats, read_text, write_text
+from zonegraph import textio
+from zonegraph.textio import (float_row, header_fields, parse_float_row, parse_floats, read_text,
+                             write_text)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -63,6 +66,82 @@ class TestCodec:
     def test_parse_floats_rejects(self, parts, count, message):
         with pytest.raises(FormatError, match=message):
             parse_floats(parts, 7, count)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint rows longer than one parse chunk
+
+def _long_row(size, seed=0):
+    values = np.random.default_rng(seed).normal(size=size) * 10.0 ** (np.arange(size) % 600 - 300)
+    return values, float_row(values)
+
+
+class TestChunkedRows:
+    def test_long_row_spans_several_chunks(self):
+        _, line = _long_row(20000)
+        assert len(line) > 4 * textio._PARSE_CHARS
+
+    @pytest.mark.parametrize("size", [1, 2999, 20000])
+    def test_checkpoint_round_trips_bitwise(self, tmp_path, size):
+        values, _ = _long_row(size, seed=size)
+        arrays = {"w": values.reshape(size, 1), "b": values[:3]}
+        path = tmp_path / "long.ckpt"
+        nn.save_checkpoint(path, arrays, {"D": 1})
+        for back, meta in (nn.load_checkpoint(path), nn.checkpoint_from_text(path.read_text())):
+            assert meta == {"D": "1"} and sorted(back) == ["b", "w"]
+            for name in arrays:
+                assert back[name].shape == arrays[name].shape
+                assert back[name].tobytes() == arrays[name].tobytes()
+
+    @pytest.mark.parametrize("edits", [
+        {15000: "abc"}, {15000: "nan"}, {19999: "-inf"}, {100: "nan", 15000: "x"},
+        {100: "x", 15000: "nan"}, {19999: "1e999", 0: "0x1"}, {}, {20000: "1.0"}, {19999: None},
+        {0: None, 15000: "abc"},
+    ], ids=lambda edits: ",".join(f"{at}={v}" for at, v in edits.items()) or "none")
+    def test_row_reads_as_parse_floats_reads_its_tokens(self, edits):
+        # parse_floats on the whole token list is the reference: the same
+        # values, or the same message with the same count and line
+        tokens = _long_row(20000)[1].split()
+        for at, token in sorted(edits.items(), reverse=True):
+            if token is None:
+                del tokens[at]
+            elif at == len(tokens):
+                tokens.append(token)
+            else:
+                tokens[at] = token
+        line = " ".join(tokens)
+        try:
+            want = parse_floats(line.split(), 12, 20000)
+        except FormatError as e:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(e))}$"):
+                parse_float_row(line, 12, 20000)
+        else:
+            assert parse_float_row(line, 12, 20000).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t[:-1], "line 3: expected 20000 floats, got 19999"),
+        (lambda t: t + ["2.5"], "line 3: expected 20000 floats, got 20001"),
+        (lambda t: t[:15000] + ["abc"] + t[15001:], "line 3: unparsable float"),
+        (lambda t: t[:15000] + ["nan"] + t[15001:], "line 3: non-finite value"),
+    ], ids=["short", "long", "unparsable", "non-finite"])
+    def test_checkpoint_error_past_the_first_chunk(self, edit, message):
+        tokens = _long_row(20000)[1].split()
+        text = f"ckpt-v1 D=1\narray w 20000\n{' '.join(edit(tokens))}\n"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            nn.checkpoint_from_text(text)
+
+    def test_oversized_shape_allocates_nothing_from_it(self):
+        # a (20000, 20000) array would take 3.2 GB; the header alone must
+        # not make the parser allocate it
+        text = "ckpt-v1 D=1\narray w 20000 20000\n1.0 2.0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="^line 3: expected 400000000 floats, got 2$"):
+                nn.checkpoint_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +342,41 @@ def test_regression_non_finite_scene_coordinate_is_format_error(coordinate):
     parts[1] = coordinate
     lines[7] = " ".join(parts)
     with pytest.raises(FormatError, match="line 8: non-finite value"):
+        scene_from_text("\n".join(lines) + "\n")
+
+
+def _edit_object(lines, line, column, token):
+    parts = lines[line - 1].split()
+    parts[column] = token
+    lines[line - 1] = " ".join(parts)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: _edit_object(ls, 10, 2, "x"), "line 10: unparsable float"),
+    (lambda ls: (_edit_object(ls, 9, 1, "nan"), _edit_object(ls, 10, 2, "x")),
+     "line 9: non-finite value"),
+    (lambda ls: (_edit_object(ls, 9, 3, "top"), _edit_object(ls, 10, 1, "x")),
+     "line 9: bad height band 'top'"),
+    (lambda ls: (_edit_object(ls, 9, 3, "top"), _edit_object(ls, 9, 1, "x")),
+     "line 9: unparsable float"),
+    (lambda ls: (_edit_object(ls, 9, 1, "inf"), ls.__setitem__(9, "Sink 2.5 0.5")),
+     "line 9: non-finite value"),
+    (lambda ls: (_edit_object(ls, 10, 1, "inf"), ls.__setitem__(8, "Sink 2.5 0.5")),
+     "line 9: expected 'category x z band'"),
+    (lambda ls: (_edit_object(ls, 20, 2, "nan"), ls.__setitem__(6, "objects 15")),
+     "line 20: non-finite value"),
+    (lambda ls: (_edit_object(ls, 19, 2, "-1e999"), ls.__setitem__(6, "objects 15")),
+     "line 19: non-finite value"),
+    (lambda ls: ls.__setitem__(6, "objects 15"), "line 22: unexpected end of scene file"),
+], ids=["one-bad", "non-finite-before-unparsable", "band-before-coordinate",
+        "coordinate-before-band", "coordinate-before-short-record",
+        "short-record-before-coordinate", "coordinate-before-end", "overflow-before-end", "end"])
+def test_scene_coordinate_error_names_the_first_bad_record(edit, message):
+    # records are checked in file order; within one record, the field count,
+    # then the coordinates, then the band
+    lines = _scene_lines()
+    edit(lines)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         scene_from_text("\n".join(lines) + "\n")
 
 
