@@ -6,8 +6,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,6 @@ class Config:
         self.train.validate()
 
 
-_SECTIONS = {
-    "embedding": ("embedding", EmbeddingCfg),
-    "train": ("train", TrainConfig),
-}
-_TOP_KEYS = {"split": str, "hidden": int, "stats_every": int}
-
-
 def _coerce(raw: str, target):
     if isinstance(target, int):
         return int(raw)
@@ -74,9 +68,20 @@ def _coerce(raw: str, target):
     return raw
 
 
+def _keys(obj) -> set[str]:
+    """The names of a config dataclass's fields that hold a value rather
+    than a section."""
+    return {f.name for f in dc_fields(obj) if not is_dataclass(getattr(obj, f.name))}
+
+
 def parse_config_text(text: str, cfg: Config | None = None) -> Config:
-    """Flat `section.key = value` lines; '#' comments; unknown keys rejected."""
+    """Flat `section.key = value` lines; '#' comments; unknown keys rejected.
+    A section is one of Config's dataclass-valued fields, a key one of its
+    own other fields or a field of the section's dataclass; each value takes
+    the type of the one it replaces."""
     cfg = cfg or Config()
+    sections = {f.name: getattr(cfg, f.name) for f in dc_fields(cfg)
+                if is_dataclass(getattr(cfg, f.name))}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -85,25 +90,18 @@ def parse_config_text(text: str, cfg: Config | None = None) -> Config:
             raise ConfigError(f"config line {ln}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
+        target, name = cfg, key
         if "." in key:
-            section, _, fname = key.partition(".")
-            if section not in _SECTIONS:
+            section, _, name = key.partition(".")
+            if section not in sections:
                 raise ConfigError(f"config line {ln}: unknown section {section!r}")
-            attr, cls = _SECTIONS[section]
-            target = getattr(cfg, attr)
-            if fname not in {f.name for f in dc_fields(cls)}:
-                raise ConfigError(f"config line {ln}: unknown key {key!r}")
-            try:
-                setattr(target, fname, _coerce(raw, getattr(target, fname)))
-            except ValueError:
-                raise ConfigError(f"config line {ln}: bad value {raw!r} for {key!r}") from None
-        else:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"config line {ln}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, _TOP_KEYS[key](raw))
-            except ValueError:
-                raise ConfigError(f"config line {ln}: bad value {raw!r} for {key!r}") from None
+            target = sections[section]
+        if name not in _keys(target):
+            raise ConfigError(f"config line {ln}: unknown key {key!r}")
+        try:
+            setattr(target, name, _coerce(raw, getattr(target, name)))
+        except ValueError:
+            raise ConfigError(f"config line {ln}: bad value {raw!r} for {key!r}") from None
     return cfg
 
 
@@ -209,6 +207,8 @@ def cmd_gen_scenes(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise UsageError(f"--eps must be finite and >= 0, got {args.eps}")
     scenes = _load_scene_dir(args.scenes)
     rooms = {s.room_category for s in scenes}
     if rooms != {args.room}:
@@ -299,7 +299,7 @@ def cmd_train(args) -> int:
     arrays["graph_edges"] = graph.edges
     nn.save_checkpoint(args.out, arrays, checkpoint_meta(cfg, graph))
     trained_goals = ",".join(sorted(result.goal_log))
-    print(f"wrote {args.out} (episodes={result.episodes_run} "
+    print(f"wrote {args.out} (episodes={cfg.train.episodes} "
           f"final_sr_1000={result.final_sr_1000:.4f} goals={trained_goals})")
     return 0
 
@@ -437,6 +437,9 @@ def run(argv=None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except ZonegraphError as e:
         print(f"error category={e.category}: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # an array too large for this machine, e.g. a huge `hidden`
+        print(f"error category=memory: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except FileNotFoundError as e:
         print(f"error category=missing-file: {e}", file=sys.stderr)

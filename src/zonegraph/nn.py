@@ -305,15 +305,16 @@ def greedy_action(logits: np.ndarray) -> int:
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
-    def __init__(self, params: Params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: Params):
         self.m = zeros_like_params(params)
         self.v = zeros_like_params(params)
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> None:
@@ -326,7 +327,7 @@ def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> N
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for {k!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for k, g in grads.items():
@@ -339,7 +340,7 @@ def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> N
         step *= lr
         den = np.divide(v, c2, out=np.empty_like(v))
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         step /= den
         params[k] -= step
 

@@ -44,8 +44,9 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
-        if self.entropy_coef < 0 or self.value_coef < 0:
-            raise ConfigError("loss coefficients must be >= 0")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.entropy_coef, self.value_coef)):
+            raise ConfigError("loss coefficients must be finite and >= 0, got "
+                              f"{self.entropy_coef!r} and {self.value_coef!r}")
         if self.episodes < 0 or self.workers < 1 or self.t_max < 1:
             raise ConfigError("episodes >= 0, workers >= 1, t_max >= 1 required")
         if self.seed < 0:
@@ -337,7 +338,6 @@ def a2c_update(trajectories: list[Trajectory], params: nn.Params, adam: nn.AdamS
 class TrainResult:
     params: nn.Params
     goal_log: Counter
-    episodes_run: int
     final_sr_1000: float
 
 
@@ -417,6 +417,5 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
     return TrainResult(
         params=params,
         goal_log=goal_log,
-        episodes_run=config.episodes,
         final_sr_1000=float(np.mean(sr_1000)) if sr_1000 else 0.0,
     )

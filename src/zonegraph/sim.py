@@ -10,6 +10,7 @@ within 1.5 m at that moment) or when the step budget runs out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -94,10 +95,11 @@ class Scene:
     """Immutable after construction.
 
     `near_objects` memoises, per position asked about, the objects within
-    1.5 m and their geometry, which `near_geometry` computes. The memo is
-    exact because a scene's objects never change; it stays out of repr and
-    equality, and a scene made by `dataclasses.replace` starts with an empty
-    one.
+    1.5 m and their geometry, which `near_geometry` computes; `success_board`
+    memoises, per goal, the boards that `shortest_path_length` floods. The
+    memos are exact because a scene's cells and objects never change; they
+    stay out of repr and equality, and a scene made by `dataclasses.replace`
+    starts with empty ones.
     """
 
     id: str
@@ -108,6 +110,7 @@ class Scene:
     objects: tuple[ObjectInstance, ...]
     seed: int
     _near: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _success: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _xz: np.ndarray = field(init=False, repr=False, compare=False)  # (K, 2) object positions
 
     def __post_init__(self):
@@ -132,6 +135,25 @@ class Scene:
                  math.sqrt(d))
                 for k, a, d in zip(ks.tolist(), angle[0, ks].tolist(), d2[0, ks].tolist()))
         return near
+
+    def success_board(self, goal: str) -> tuple[int, int, int]:
+        """The board of the reachable cells (see `_bitboard`), its stride,
+        and the board of the reachable cells from which some pose satisfies
+        the success predicate for `goal`. Rotation and pitch are free, and
+        the 8 yaw sectors cover all bearings, so a cell qualifies iff it is
+        within 1.5 m of some goal instance: one `near_geometry` pass over
+        every cell gives them all."""
+        boards = self._success.get(goal)
+        if boards is None:
+            goal_ks = [k for k, o in enumerate(self.objects) if o.category == goal]
+            if not goal_ks:
+                raise ConfigError(f"goal {goal!r} not present in scene {self.id!r}")
+            iz, ix = np.indices(self.reachable.shape).reshape(2, -1)
+            near = near_geometry(self, ix * CELL, iz * CELL)[0]
+            success = near[:, goal_ks].any(axis=1).reshape(self.reachable.shape) & self.reachable
+            cells, stride = _bitboard(self.reachable)
+            boards = self._success[goal] = (cells, stride, _bitboard(success)[0])
+        return boards
 
     def cell_of(self, x: float, z: float) -> tuple[int, int]:
         return int(round(x / CELL)), int(round(z / CELL))
@@ -307,54 +329,24 @@ def reset_episode(scene: Scene, goal: str, seed: int, t_max: int = DEFAULT_T_MAX
     return EpisodeState(scene=scene, goal=goal, pose=pose, t_max=t_max)
 
 
-def success_cells(scene: Scene, goal: str) -> set[tuple[int, int]]:
-    """Reachable cells from which some pose satisfies the success predicate.
-
-    Rotation and pitch are free, and the 8 yaw sectors cover all bearings,
-    so a cell qualifies iff it is within 1.5 m of some goal instance.
-    """
-    instances = [o for o in scene.objects if o.category == goal]
-    if not instances:
-        raise ConfigError(f"goal {goal!r} not present in scene {scene.id!r}")
-    out = set()
-    for ix, iz in scene.reachable_cells():
-        x, z = ix * CELL, iz * CELL
-        for o in instances:
-            dx, dz = o.x - x, o.z - z
-            if dx * dx + dz * dz <= VIS_RANGE_SQ + EPS:
-                out.add((ix, iz))
-                break
-    return out
-
-
-def _bfs_hops(scene: Scene, start: tuple[int, int], targets: set[tuple[int, int]]) -> int | None:
-    if start in targets:
-        return 0
-    frontier = [start]
-    dist = {start: 0}
-    while frontier:
-        nxt = []
-        for ix, iz in frontier:
-            for ddx, ddz in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-                c = (ix + ddx, iz + ddz)
-                if c in dist or not scene.in_bounds(*c) or not scene.reachable[c[1], c[0]]:
-                    continue
-                dist[c] = dist[(ix, iz)] + 1
-                if c in targets:
-                    return dist[c]
-                nxt.append(c)
-        frontier = nxt
-    return None
-
-
 def shortest_path_length(scene: Scene, pose: Pose, goal: str) -> float:
     """Geodesic meters (4-neighborhood, 0.5 m per hop) from the agent cell to
-    the nearest cell satisfying the success predicate. Rotation cost ignored."""
-    targets = success_cells(scene, goal)
-    start = scene.cell_of(pose.x, pose.z)
-    hops = _bfs_hops(scene, start, targets)
-    if hops is None:
-        raise UnreachableGoalError(f"no reachable success cell for {goal!r} in {scene.id!r}")
+    the nearest cell satisfying the success predicate. Rotation cost ignored.
+
+    One flood grows from the agent's cell through the reachable cells, a hop
+    a round, until it meets the goal's success board; an agent cell that is
+    not reachable still floods into its reachable neighbours. A pose whose
+    cell lies outside the scene raises UsageError."""
+    cells, stride, targets = scene.success_board(goal)
+    ix, iz = scene.cell_of(pose.x, pose.z)
+    if not scene.in_bounds(ix, iz):
+        raise UsageError(f"pose ({pose.x}, {pose.z}) lies outside scene {scene.id!r}")
+    flood, hops = 1 << (iz * stride + ix), 0
+    while not flood & targets:
+        grown = _grow(flood, stride) & cells
+        if grown == flood:
+            raise UnreachableGoalError(f"no reachable success cell for {goal!r} in {scene.id!r}")
+        flood, hops = grown, hops + 1
     return hops * CELL
 
 
@@ -372,13 +364,8 @@ class ZoneTemplate:
         return sum(1 for cat, _ in self.items if cat in GOAL_SET)
 
 
-_TEMPLATE_CACHE: dict[str, list[ZoneTemplate]] | None = None
-
-
+@functools.cache
 def _load_templates() -> dict[str, list[ZoneTemplate]]:
-    global _TEMPLATE_CACHE
-    if _TEMPLATE_CACHE is not None:
-        return _TEMPLATE_CACHE
     text = resources.files("zonegraph.data").joinpath("room_zones.txt").read_text()
     out: dict[str, list[ZoneTemplate]] = {r: [] for r in ROOM_CATEGORIES}
     for ln, line in enumerate(text.splitlines(), 1):
@@ -398,7 +385,6 @@ def _load_templates() -> dict[str, list[ZoneTemplate]]:
                 raise FormatError(f"room_zones.txt line {ln}: bad band in {spec!r}")
             items.append((cat, band))
         out[room].append(ZoneTemplate(room, name, tuple(items)))
-    _TEMPLATE_CACHE = out
     return out
 
 
@@ -414,10 +400,11 @@ def _bitboard(reach: np.ndarray) -> tuple[int, int]:
     return int.from_bytes(np.packbits(board, bitorder="little").tobytes(), "little"), width + 1
 
 
-def _around(cell: int, stride: int) -> int:
-    """The bits of a board cell and of its four neighbours."""
-    bit = 1 << cell
-    return bit | bit << 1 | bit >> 1 | bit << stride | bit >> stride
+def _grow(bits: int, stride: int) -> int:
+    """The set bits of a board and their four neighbours: one round of a
+    flood. A neighbour off the grid lands on a guard bit or outside the
+    board, so masking the result with a board of cells drops it."""
+    return bits | bits << 1 | bits >> 1 | bits << stride | bits >> stride
 
 
 def _connected(cells: int, stride: int) -> bool:
@@ -428,7 +415,7 @@ def _connected(cells: int, stride: int) -> bool:
         return False
     flood = cells & -cells
     while True:
-        grown = (flood | flood << 1 | flood >> 1 | flood << stride | flood >> stride) & cells
+        grown = _grow(flood, stride) & cells
         if grown == flood:
             return flood == cells
         flood = grown
@@ -440,7 +427,7 @@ def _can_block(board: int, stride: int, cell: int, blocked: list[int], min_free:
     `blocked` keep a free neighbour."""
     trial = board & ~(1 << cell)
     return (trial != board and trial.bit_count() >= min_free
-            and all(trial & _around(c, stride) for c in (*blocked, cell))
+            and all(trial & _grow(1 << c, stride) for c in (*blocked, cell))
             and _connected(trial, stride))
 
 
@@ -543,7 +530,7 @@ def validate_scene(scene: Scene) -> None:
             raise FormatError(f"object {o.category} off the 0.5 m lattice")
         if o.height_band not in BAND_PITCH:
             raise FormatError(f"object {o.category} has bad height band {o.height_band!r}")
-        if not cells & _around(iz * stride + ix, stride):
+        if not cells & _grow(1 << (iz * stride + ix), stride):
             raise FormatError(f"object {o.category} not adjacent to any reachable cell")
 
 

@@ -58,6 +58,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("train.episodes = many")
 
+    @pytest.mark.parametrize("line, message", [
+        (".x = 1", "unknown section ''"),
+        ("a.b.c = 1", "unknown section 'a'"),
+        ("train.b.c = 1", "unknown key 'train.b.c'"),
+        ("embedding = 1", "unknown key 'embedding'"),
+        ("train = 1", "unknown key 'train'"),
+        ("__class__.hidden = 1", "unknown section '__class__'"),
+        ("train.__class__ = 1", "unknown key 'train.__class__'"),
+        ("validate = 1", "unknown key 'validate'"),
+        ("hidden = 1.5", "bad value '1.5' for 'hidden'"),
+        ("train.gamma = x", "bad value 'x' for 'train.gamma'"),
+        ("hidden", "expected 'key = value'"),
+    ])
+    def test_malformed_line_message(self, line, message):
+        # sections and keys are Config's own fields: no attribute lookup
+        # reaches the class or a method
+        with pytest.raises(ConfigError) as e:
+            parse_config_text(f"# header\n{line}")
+        assert str(e.value) == f"config line 2: {message}"
+        assert Config.hidden == nn.DEFAULT_HIDDEN and "validate" in vars(Config)
+
+    def test_values_take_the_type_of_the_default(self):
+        cfg = parse_config_text("hidden = 7\nsplit = 3\ntrain.gamma = 1\nembedding.path = 2")
+        assert (cfg.hidden, cfg.split, cfg.train.gamma, cfg.embedding.path) == (7, "3", 1.0, "2")
+        assert type(cfg.train.gamma) is float
+
     def test_readme_defaults_match_config(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Defaults (all overridable):", 1)[1].split("```")[1]
@@ -93,6 +119,21 @@ class TestParser:
         assert (seen[2]["workers"], seen[2]["seed"], seen[2]["split"], seen[2]["episodes"]) == \
             (None, None, None, None)
         assert "mask" not in seen[2] and "ckpt" not in seen[2]
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_one_categorised_line(self, monkeypatch, capsys, error, message):
+        from zonegraph import cli
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_train", fail)
+        assert run(["train", "--scenes", "s", "--graph", "g.kg", "--out", "m.ckpt"]) == 1
+        assert capsys.readouterr().err == f"error category=memory: {message}\n"
 
     def test_parser_built_once(self, monkeypatch, capsys):
         from zonegraph import cli
@@ -177,6 +218,25 @@ class TestBuildGraph:
         err = capsys.readouterr().err
         assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "g.kg").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1", "-0.01"])
+    def test_unusable_eps_rejected_before_any_scene_is_read(self, tmp_path, capsys, eps):
+        # the scene directory does not exist: reading it would fail as config
+        code = run_cli("build-graph", "--scenes", str(tmp_path / "none"), "--room", "kitchen",
+                       "--eps", eps, "--out", str(tmp_path / "g.kg"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=usage:") and len(err.strip().splitlines()) == 1
+        assert "--eps" in err and list(tmp_path.iterdir()) == []
+
+    def test_zero_eps_builds(self, tmp_path):
+        run_cli("gen-scenes", "--room", "kitchen", "--count", "1", "--seed", "5",
+                "--out", str(tmp_path / "s"))
+        code = run_cli("build-graph", "--scenes", str(tmp_path / "s"), "--room", "kitchen",
+                       "--zones", "4", "--dim", "16", "--eps", "0", "--out", str(tmp_path / "g.kg"))
+        assert code == 0
+        edges = load_graph(tmp_path / "g.kg").edges
+        np.testing.assert_array_equal(edges, np.eye(len(edges)))
 
     def test_seed_determinism(self, tmp_path):
         run_cli("gen-scenes", "--room", "kitchen", "--count", "2", "--seed", "5",
@@ -446,7 +506,9 @@ class TestTrainEval:
         assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("line", ["stats_every = 0", "hidden = 0", "train.lr = -1",
-                                      "train.lr = nan", "train.lr = inf"])
+                                      "train.lr = nan", "train.lr = inf",
+                                      "train.entropy_coef = inf", "train.entropy_coef = nan",
+                                      "train.value_coef = inf", "train.value_coef = nan"])
     def test_train_rejects_unusable_config_value(self, pipeline, tmp_path, capsys, line):
         # checked once the command line has overridden the file, before any
         # scene is read: one categorised line, and nothing written

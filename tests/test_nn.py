@@ -461,7 +461,7 @@ class TestAdam:
         ref = {k: v.copy() for k, v in params.items()}
         m = nn.zeros_like_params(params)
         v = nn.zeros_like_params(params)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        b1, b2, eps, lr = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS, 0.01
         for t in range(1, 7):
             grads = {k: rng.normal(size=np.shape(p)) for k, p in params.items()}
             grads["lambda_raw"] = np.float64(rng.normal())  # as the A2C update builds it

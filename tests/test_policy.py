@@ -765,6 +765,13 @@ class TestTrain:
             train(TrainConfig(episodes=5), [scene], graph, small_provider,
                   allowed_goals=frozenset({"Television"}), hidden=8)
 
+    @pytest.mark.parametrize("field", ["entropy_coef", "value_coef"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf"), -0.1])
+    def test_loss_coefficient_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: 0.0}).validate()
+
     def test_lambda_stays_in_unit_interval(self, small_provider):
         scene, graph = tiny_world(small_provider)
         cfg = TrainConfig(episodes=40, seed=2, t_max=10, lr=0.05)  # big steps on purpose

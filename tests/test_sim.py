@@ -7,16 +7,19 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zonegraph.categories import GOAL_SET, ROOM_CATEGORIES
-from zonegraph.errors import ConfigError, FormatError, GenerationError, UsageError
+from zonegraph.errors import (ConfigError, FormatError, GenerationError, UnreachableGoalError,
+                              UsageError)
 from zonegraph.sim import (
     Action,
     BAND_PITCH,
     CELL,
     EPS,
     HALF_FOV,
+    ObjectInstance,
     Observation,
     PITCHES,
     Pose,
+    Scene,
     Sighting,
     VIS_RANGE_SQ,
     YAWS,
@@ -76,6 +79,34 @@ def flood_fill_hops(reach, start, targets):
                 nxt.append(c)
         frontier = nxt
     return None
+
+
+def success_cells_reference(scene, goal):
+    """The reachable cells within 1.5 m of some instance of the goal, one
+    object at a time: the oracle for the scene's success board."""
+    instances = [o for o in scene.objects if o.category == goal]
+    out = set()
+    for ix, iz in scene.reachable_cells():
+        x, z = ix * CELL, iz * CELL
+        for o in instances:
+            dx, dz = o.x - x, o.z - z
+            if dx * dx + dz * dz <= VIS_RANGE_SQ + EPS:
+                out.add((ix, iz))
+                break
+    return out
+
+
+def shortest_path_reference(scene, ix, iz, goal):
+    """Geodesic meters from cell (ix, iz) by the BFS oracle, or None."""
+    hops = flood_fill_hops(scene.reachable, (ix, iz), success_cells_reference(scene, goal))
+    return None if hops is None else hops * CELL
+
+
+def shortest_path_or_none(scene, ix, iz, goal):
+    try:
+        return shortest_path_length(scene, Pose(ix * CELL, iz * CELL, 0, 0), goal)
+    except UnreachableGoalError:
+        return None
 
 
 def _bearing(dx, dz, yaw):
@@ -480,14 +511,85 @@ class TestShortestPath:
         assert got == pytest.approx(hops * 0.5)
 
     def test_unreachable_goal_signals(self):
-        from zonegraph.errors import UnreachableGoalError
-
         # goal sealed in the far corner behind a full wall
         blocked = [(ix, 4) for ix in range(6)]
         reach_fix = make_scene(6, 8, [("Sink", 3, 7, "mid")], blocked=blocked)
         # the wall splits the grid; agent side has no success cell
         with pytest.raises(UnreachableGoalError):
             shortest_path_length(reach_fix, Pose(0.0, 0.0, 0, 0), "Sink")
+
+    @pytest.mark.parametrize("size", [(8, 8), (16, 16)])
+    @pytest.mark.parametrize("room", ROOM_CATEGORIES)
+    def test_every_start_and_goal_equals_reference(self, room, size):
+        for seed in (0, 1):
+            scene = generate_scene(room, size, seed)
+            for goal in sorted(scene.categories_present()):
+                targets = success_cells_reference(scene, goal)
+                for ix, iz in scene.reachable_cells():
+                    hops = flood_fill_hops(scene.reachable, (ix, iz), targets)
+                    assert shortest_path_length(scene, Pose(ix * CELL, iz * CELL, 0, 0),
+                                                goal) == hops * CELL
+
+    def test_serpentine_floods_more_than_64_rounds(self):
+        # the goal sits past the serpentine's far end, more than 64 hops
+        # from the first cell along the one path
+        reach = serpentine(16)
+        reach[15, 0] = False
+        scene = Scene("serpentine", "kitchen", 16, 16, reach,
+                      (ObjectInstance("Sink", 15 * CELL, 15 * CELL, "mid"),), 0)
+        want = shortest_path_reference(scene, 0, 0, "Sink")
+        assert want > 64 * CELL
+        assert shortest_path_length(scene, Pose(0.0, 0.0, 0, 0), "Sink") == want
+
+    @given(arrays(bool, st.tuples(st.integers(1, 9), st.integers(1, 9)), elements=st.booleans()),
+           st.data())
+    def test_every_cell_of_any_bitmap_equals_reference(self, reach, data):
+        # disconnected bitmaps and starts on blocked cells too: a blocked
+        # start floods into its reachable neighbours, as the BFS steps out
+        depth, width = reach.shape
+        cells = st.tuples(st.integers(0, width - 1), st.integers(0, depth - 1))
+        objects = tuple(ObjectInstance(data.draw(st.sampled_from(["Sink", "Pan"])),
+                                       ix * CELL, iz * CELL, "mid")
+                        for ix, iz in data.draw(st.lists(cells, min_size=1, max_size=4)))
+        scene = Scene("hyp", "kitchen", width, depth, reach, objects, 0)
+        for goal in scene.categories_present():
+            for iz in range(depth):
+                for ix in range(width):
+                    assert shortest_path_or_none(scene, ix, iz, goal) == \
+                        shortest_path_reference(scene, ix, iz, goal)
+
+    def test_blocked_start_without_free_neighbour_is_unreachable(self):
+        scene = make_scene(3, 3, [("Sink", 2, 2, "mid")], blocked=[(1, 0), (0, 1), (0, 0)])
+        assert shortest_path_reference(scene, 0, 0, "Sink") is None
+        with pytest.raises(UnreachableGoalError):
+            shortest_path_length(scene, Pose(0.0, 0.0, 0, 0), "Sink")
+
+    @pytest.mark.parametrize("x, z", [
+        (-0.5, 0.0), (0.0, -0.5), (-0.5, -0.5),
+        (-0.5, 0.5),  # bit index stride - 1: row 0's guard bit
+        (2.0, 0.0),  # ix == width: a guard bit
+        (2.5, 0.0),  # ix == width + 1: the bit of the next row's first cell
+        (0.0, 1.5), (10.0, 10.0),
+    ])
+    def test_off_grid_start_raises_usage_error(self, x, z):
+        scene = make_scene(4, 3, [("Sink", 3, 2, "mid")])
+        with pytest.raises(UsageError):
+            shortest_path_length(scene, Pose(x, z, 0, 0), "Sink")
+
+    def test_goal_absent_errors(self):
+        scene = make_scene(4, 4, [("Sink", 3, 3, "mid")])
+        with pytest.raises(ConfigError):
+            shortest_path_length(scene, Pose(0.0, 0.0, 0, 0), "Fridge")
+
+    def test_replaced_scene_starts_with_an_empty_board_memo(self):
+        scene = make_scene(1, 8, [("Sink", 0, 7, "mid")])
+        assert shortest_path_length(scene, Pose(0.0, 0.0, 0, 0), "Sink") == 2.0
+        assert set(scene._success) == {"Sink"}
+        walled = dataclasses.replace(scene, reachable=np.arange(8)[:, None] != 3)
+        assert walled._success == {}
+        with pytest.raises(UnreachableGoalError):
+            shortest_path_length(walled, Pose(0.0, 0.0, 0, 0), "Sink")
+        assert shortest_path_length(scene, Pose(0.0, 0.0, 0, 0), "Sink") == 2.0
 
 
 class TestSceneFile:
