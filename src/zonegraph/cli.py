@@ -253,14 +253,10 @@ def checkpoint_meta(cfg: Config, graph: KnowledgeGraph) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else Config()
-    if args.episodes is not None:
-        cfg.train.episodes = args.episodes
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-    if args.workers is not None:
-        cfg.train.workers = args.workers
-    if args.split is not None:
-        cfg.split = args.split
+    flags = {"train.episodes": args.episodes, "train.seed": args.seed,
+             "train.workers": args.workers, "split": args.split}
+    parse_config_text("".join(f"{key} = {value}\n" for key, value in flags.items()
+                              if value is not None), cfg)
     cfg.validate()
 
     scenes = _load_scene_dir(args.scenes)

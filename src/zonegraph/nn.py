@@ -75,8 +75,12 @@ DONE_LOGIT_BIAS = -3.0
 
 
 def init_params(dim: int, node_dim: int, hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> Params:
-    rng = np.random.default_rng(seed & SEED_MASK)
+    """Seeded initial parameters. Raises MemoryError, before it allocates
+    anything, if a parameter has more bytes than a numpy array can hold."""
     shapes = param_shapes(dim, node_dim, hidden)
+    if any(math.prod(shape) * 8 > np.iinfo(np.intp).max for shape in shapes.values()):
+        raise MemoryError(f"parameters of D={dim} N={node_dim} H={hidden} are too big for numpy")
+    rng = np.random.default_rng(seed & SEED_MASK)
 
     def mat(name, scale):
         return rng.standard_normal(shapes[name]) * scale

@@ -319,18 +319,16 @@ def a2c_loss_and_grads(params: nn.Params, trajectories: list[Trajectory],
 
 def a2c_update(trajectories: list[Trajectory], params: nn.Params, adam: nn.AdamState,
                graph: KnowledgeGraph, config: TrainConfig) -> dict:
-    """One optimizer step from a batch of trajectories. Non-finite losses or
-    gradients skip the update and are reported in the stats."""
+    """One optimizer step from a batch of trajectories. A non-finite loss or
+    gradient skips the step, which stats["skipped"] reports."""
     loss, grads, stats = a2c_loss_and_grads(params, trajectories, graph, config)
-    if not np.isfinite(loss):
-        stats["skipped"] = True
-        return stats
     try:
+        if not np.isfinite(loss):
+            raise NonFiniteError(f"non-finite loss {loss!r}")
         nn.adam_update(params, grads, adam, config.lr)
+        stats["skipped"] = False
     except NonFiniteError:
         stats["skipped"] = True
-        return stats
-    stats["skipped"] = False
     return stats
 
 
@@ -365,7 +363,12 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
     """Train the policy with synchronous A2C. Each round rolls `workers`
     episodes with the pre-update parameters, sums their gradients in
     worker-index order and applies one optimizer step, which makes runs
-    bitwise reproducible for a seed."""
+    bitwise reproducible for a seed.
+
+    Every episode is logged with its round's update: `stats_sink` gets a
+    record every `stats_every` episodes and at the last one, carrying that
+    round's loss and entropy and the count of rounds skipped so far. A run
+    whose every update was skipped raises NonFiniteError."""
     config.validate()
     if not scenes:
         raise ConfigError("no training scenes")
@@ -376,7 +379,6 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
     sr_1000: deque = deque(maxlen=1000)
     rew_100: deque = deque(maxlen=100)
     len_100: deque = deque(maxlen=100)
-    skipped = 0
 
     def run_episode(index: int) -> Trajectory:
         rng = _episode_rng(config.seed, index)
@@ -386,33 +388,30 @@ def train(config: TrainConfig, scenes: list[Scene], graph: KnowledgeGraph,
         est = reset_episode(scene, goal, seed=int(rng.integers(2**63)), t_max=config.t_max)
         return rollout(est, params, graph, provider, rng)
 
-    def record(traj: Trajectory, update_stats: dict, episode: int) -> None:
-        nonlocal skipped
-        goal_log[traj.goal] += 1
-        sr_1000.append(1.0 if traj.success else 0.0)
-        rew_100.append(traj.total_reward)
-        len_100.append(traj.length)
-        if update_stats.get("skipped"):
-            skipped += 1
-        if stats_sink is not None and (episode + 1) % stats_every == 0:
-            stats_sink({
-                "episode": episode + 1,
-                "sr_1000": float(np.mean(sr_1000)),
-                "mean_reward_100": float(np.mean(rew_100)),
-                "mean_length_100": float(np.mean(len_100)),
-                "loss": update_stats.get("loss", float("nan")),
-                "entropy": update_stats.get("entropy", float("nan")),
-                "skipped_updates": skipped,
-            })
-
-    episode = 0
-    while episode < config.episodes:
-        batch = min(config.workers, config.episodes - episode)
-        trajs = [run_episode(episode + w) for w in range(batch)]
-        update_stats = a2c_update(trajs, params, adam, graph, config)
-        for w, traj in enumerate(trajs):
-            record(traj, update_stats if w == batch - 1 else {}, episode + w)
-        episode += batch
+    rounds = range(0, config.episodes, config.workers)
+    skipped = 0
+    for start in rounds:
+        trajs = [run_episode(i) for i in range(start, min(start + config.workers, config.episodes))]
+        update = a2c_update(trajs, params, adam, graph, config)
+        skipped += update["skipped"]
+        for episode, traj in enumerate(trajs, start + 1):
+            goal_log[traj.goal] += 1
+            sr_1000.append(1.0 if traj.success else 0.0)
+            rew_100.append(traj.total_reward)
+            len_100.append(traj.length)
+            if stats_sink is not None and (episode % stats_every == 0
+                                           or episode == config.episodes):
+                stats_sink({
+                    "episode": episode,
+                    "sr_1000": float(np.mean(sr_1000)),
+                    "mean_reward_100": float(np.mean(rew_100)),
+                    "mean_length_100": float(np.mean(len_100)),
+                    "loss": update["loss"],
+                    "entropy": update["entropy"],
+                    "skipped_updates": skipped,
+                })
+    if rounds and skipped == len(rounds):
+        raise NonFiniteError(f"all {skipped} update(s) skipped as non-finite")
 
     return TrainResult(
         params=params,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -278,6 +279,14 @@ def fd_check(loss_fn, params: dict, grads: dict, rng: np.random.Generator,
         worst = max(worst, fd_probe(lambda: loss_fn(params), arr, grads[name], rng,
                                     probes_per_array))
     return worst
+
+
+def strict_json(line: str):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
 
 
 @pytest.fixture(scope="session")

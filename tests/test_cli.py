@@ -1,27 +1,43 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import operator
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zonegraph import nn, selfcheck
+from zonegraph import nn, policy, selfcheck
 from zonegraph.cli import Config, load_checkpoint_bundle, parse_config_text, run
 from zonegraph.errors import ConfigError
 from zonegraph.graph import load_graph
 from zonegraph.sim import load_scene
+
+from conftest import strict_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv, capsys=None):
     return run(list(argv))
+
+
+def settable_keys() -> list[str]:
+    """Every `key` and `section.key` a config file may set."""
+    keys, defaults = [], Config()
+    for f in fields(defaults):
+        value = getattr(defaults, f.name)
+        keys += [f"{f.name}.{g.name}" for g in fields(value)] if is_dataclass(value) else [f.name]
+    return keys
 
 
 class TestConfig:
@@ -89,16 +105,8 @@ class TestConfig:
         block = readme.split("Defaults (all overridable):", 1)[1].split("```")[1]
         listed = [line.split("#", 1)[0].partition("=")[0].strip()
                   for line in block.splitlines() if line.split("#", 1)[0].strip()]
-        defaults = Config()
-        settable = []
-        for f in fields(defaults):
-            value = getattr(defaults, f.name)
-            if is_dataclass(value):
-                settable += [f"{f.name}.{g.name}" for g in fields(value)]
-            else:
-                settable.append(f.name)
-        assert sorted(listed) == sorted(settable)
-        assert parse_config_text(block) == defaults
+        assert sorted(listed) == sorted(settable_keys())
+        assert parse_config_text(block) == Config()
 
 
 class TestParser:
@@ -532,6 +540,145 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error category=format:") and len(err.strip().splitlines()) == 1
 
+
+def _train(pipeline, out, config_text, *flags):
+    cfg = out.parent / "train.cfg"
+    cfg.write_text("embedding.dim = 16\nhidden = 8\ntrain.t_max = 15\n" + config_text)
+    return run(["train", "--scenes", str(pipeline / "scenes"), "--graph", str(pipeline / "g.kg"),
+                "--config", str(cfg), "--out", str(out), *flags])
+
+
+class TestTrainRounds:
+    def test_log_of_uneven_rounds_is_strict_json(self, pipeline, tmp_path):
+        # rounds of 3 against a record every 2 episodes: each record carries
+        # its round's update, and the last episode closes the log
+        out = tmp_path / "m.ckpt"
+        assert _train(pipeline, out, "stats_every = 2\n", "--episodes", "7", "--workers", "3") == 0
+        lines = Path(str(out) + ".log").read_text().splitlines()
+        records = [strict_json(line) for line in lines]
+        assert [r["episode"] for r in records] == [2, 4, 6, 7]
+        # records 4 and 6 come from one round
+        assert (records[1]["loss"], records[1]["entropy"]) == \
+            (records[2]["loss"], records[2]["entropy"])
+        for r in records:
+            assert math.isfinite(r["loss"]) and math.isfinite(r["entropy"])
+
+    def test_run_shorter_than_stats_every_logs_its_last_episode(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert _train(pipeline, out, "stats_every = 20\n", "--episodes", "3") == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+        assert Path(str(out) + ".log").read_text().splitlines() == printed
+        assert [json.loads(line)["episode"] for line in printed] == [3]
+
+    def test_every_update_skipped_exits_numeric(self, pipeline, tmp_path, capsys, monkeypatch):
+        real = policy.a2c_loss_and_grads
+        monkeypatch.setattr(policy, "a2c_loss_and_grads",
+                            lambda *a, **k: (float("nan"),) + real(*a, **k)[1:])
+        out = tmp_path / "m.ckpt"
+        assert _train(pipeline, out, "", "--episodes", "4", "--workers", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=numeric: all 2 update(s) skipped")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        record = json.loads(Path(str(out) + ".log").read_text())
+        assert (record["episode"], record["skipped_updates"]) == (4, 2)
+        # no round, no update to skip: the initial parameters are written
+        assert _train(pipeline, out, "", "--episodes", "0") == 0
+        load_checkpoint_bundle(out)
+
+    def test_parameter_numpy_cannot_hold_is_a_memory_error(self, pipeline, tmp_path, capsys):
+        # numpy refuses the size before it allocates anything
+        out = tmp_path / "m.ckpt"
+        assert _train(pipeline, out, "hidden = 10000000000000000\n", "--episodes", "1") == 1
+        err = capsys.readouterr().err
+        assert err == ("error category=memory: parameters of D=16 N=16 H=10000000000000000 "
+                       "are too big for numpy\n")
+        assert not out.exists()
+
+    def test_flags_override_the_config_file(self, pipeline, tmp_path):
+        out = tmp_path / "m.ckpt"
+        text = "train.episodes = 5\ntrain.seed = 2\ntrain.workers = 4\nsplit = general\n"
+        assert _train(pipeline, out, text, "--episodes", "0", "--seed", "9", "--workers", "3",
+                      "--split", "zero-shot") == 0
+        meta = nn.load_checkpoint(out)[1]
+        assert (meta["episodes"], meta["seed"], meta["workers"], meta["split"]) == \
+            ("0", "9", "3", "zero_shot")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--episodes", "-1"), "config: episodes >= 0, workers >= 1, t_max >= 1 required"),
+        (("--workers", "0"), "config: episodes >= 0, workers >= 1, t_max >= 1 required"),
+        (("--seed", "-1"), "config: seed must be a non-negative integer"),
+        (("--episodes", "2.5"), "usage: argument --episodes: invalid int value: '2.5'"),
+        (("--split", "all"), "usage: argument --split: invalid choice: 'all' "
+                             "(choose from 'general', 'zero-shot')"),
+    ])
+    def test_bad_flag_message(self, pipeline, tmp_path, capsys, flags, message):
+        assert _train(pipeline, tmp_path / "m.ckpt", "", *flags) == 1
+        assert capsys.readouterr().err == f"error category={message}\n"
+
+
+# values a train config file may hold, by key: valid ones first. Every
+# `embedding.dim` but the fixture graph's 16 is a mismatch, and `hidden`
+# stays small; the wrong types and boundaries below are drawn for every key
+FUZZ_VALID = {
+    "embedding.dim": ["16", "8"],
+    "embedding.mode": ["synthetic", "file"],
+    "embedding.seed": ["0", "5"],
+    "embedding.path": ["", "missing.emb"],
+    "train.episodes": ["1", "3"],
+    "train.workers": ["1", "2"],
+    "train.gamma": ["0.9", "1"],
+    "train.entropy_coef": ["0.05", "0.0"],
+    "train.value_coef": ["0.5", "2"],
+    "train.lr": ["0.001", "0.1"],
+    "train.t_max": ["1", "15"],
+    "train.seed": ["0", "7"],
+    "split": ["general", "zero-shot", "zero_shot"],
+    "hidden": ["1", "16"],
+    "stats_every": ["1", "2"],
+}
+FUZZ_HUGE = [str(10**12), str(10**16)]
+FUZZ_BOUNDARIES = ["0", "-1", "nan", "inf"]
+FUZZ_WRONG_TYPES = ["abc", "1.5", "", "1e3", "True"]
+FUZZ_UNKNOWN = ["bogus = 1", "train.bogus = 1", "sim.width = 9", "embedding = 16", "noequals"]
+
+
+@st.composite
+def _fuzz_train_config(draw):
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_VALID)), max_size=4, unique=True)):
+        values = FUZZ_VALID[key] + FUZZ_WRONG_TYPES + FUZZ_BOUNDARIES
+        if key != "train.t_max":
+            # a huge t_max is valid, and after a huge learning rate an
+            # episode could take as many steps as it allows
+            values += FUZZ_HUGE
+        lines.append(f"{key} = {draw(st.sampled_from(values))}")
+    lines += draw(st.lists(st.sampled_from(FUZZ_UNKNOWN), max_size=1))
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+class TestTrainConfigFuzz:
+    def test_fuzz_table_covers_every_config_key(self):
+        assert sorted(FUZZ_VALID) == sorted(settable_keys())
+
+    @settings(max_examples=200)
+    @given(config_text=_fuzz_train_config(), episodes=st.integers(0, 2))
+    def test_exit_zero_with_checkpoint_or_one_categorised_line(self, pipeline, config_text,
+                                                               episodes):
+        out_buf, err_buf = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(out_buf), contextlib.redirect_stderr(err_buf):
+            out = Path(tmp) / "m.ckpt"
+            code = _train(pipeline, out, config_text, "--episodes", str(episodes))
+            if code == 0:
+                load_checkpoint_bundle(out)
+        err = err_buf.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1
+            assert len(err.splitlines()) == 1 and err.startswith("error category=")
+            assert "Traceback" not in err
 
 # each selfcheck line, its kernel by its path from zonegraph.selfcheck, and a
 # corruption of that kernel's output

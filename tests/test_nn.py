@@ -421,6 +421,19 @@ class TestSequenceKernels:
             np.testing.assert_array_equal(rows[t], nn.log_softmax(logits[t]))
 
 
+class TestInitParams:
+    @pytest.mark.parametrize("hidden", [10**12, 10**16])
+    def test_size_numpy_cannot_hold_is_refused_before_any_draw(self, hidden, monkeypatch):
+        # 10**12 fits lstm_wx and lstm_b but not lstm_wh; no array is made
+        monkeypatch.setattr(nn.np.random, "default_rng", None)
+        with pytest.raises(MemoryError, match=f"H={hidden} are too big for numpy"):
+            nn.init_params(16, 16, hidden)
+
+    def test_shapes_are_param_shapes(self):
+        params = nn.init_params(3, 5, hidden=2)
+        assert {k: v.shape for k, v in params.items()} == nn.param_shapes(3, 5, 2)
+
+
 class TestAdam:
     def test_zero_gradients_leave_params(self):
         params = nn.init_params(4, 4, hidden=4, seed=0)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from zonegraph.controller import (
 )
 from zonegraph.embedding import EmbeddingProvider, observation_feature
 from zonegraph import policy
-from zonegraph.errors import ConfigError, UsageError
+from zonegraph.errors import ConfigError, NonFiniteError, UsageError
 from zonegraph.graph import KnowledgeGraph, build_scene_graph
 from zonegraph.policy import (
     TrainConfig,
@@ -34,7 +35,7 @@ from zonegraph.sim import Action, generate_scene, reset_episode, step, visible_o
 
 from conftest import (actor_critic_backward, fd_check, gcn_backward, gcn_forward,
                       image_feature, lstm_backward, lstm_step_split, make_scene,
-                      unfactored_cell_step)
+                      strict_json, unfactored_cell_step)
 
 ALL_MASKS = [frozenset(m) for k in range(len(policy.MASKABLE) + 1)
              for m in itertools.combinations(sorted(policy.MASKABLE), k)]
@@ -764,6 +765,61 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(TrainConfig(episodes=5), [scene], graph, small_provider,
                   allowed_goals=frozenset({"Television"}), hidden=8)
+
+    @staticmethod
+    def _run_rounds(provider, monkeypatch, nan_rounds=()):
+        """7 episodes in rounds of 3, a record every 2: the rounds' update
+        stats in order, and the records as the CLI writes them. The rounds
+        in `nan_rounds` get a NaN loss."""
+        scene, graph = tiny_world(provider)
+        real = policy.a2c_loss_and_grads
+        updates, lines = [], []
+
+        def loss_and_grads(*args, **kwargs):
+            loss, grads, stats = real(*args, **kwargs)
+            if len(updates) in nan_rounds:
+                loss = stats["loss"] = float("nan")
+            updates.append(stats)
+            return loss, grads, stats
+
+        monkeypatch.setattr(policy, "a2c_loss_and_grads", loss_and_grads)
+        train(TrainConfig(episodes=7, workers=3, seed=4, t_max=15), [scene], graph, provider,
+              hidden=8, stats_every=2, stats_sink=lambda rec: lines.append(json.dumps(rec)))
+        return updates, lines
+
+    def test_every_record_carries_its_rounds_update(self, small_provider, monkeypatch):
+        updates, lines = self._run_rounds(small_provider, monkeypatch)
+        records = [strict_json(line) for line in lines]
+        # every 2 episodes, and the run's last, which is off that grid
+        assert [r["episode"] for r in records] == [2, 4, 6, 7]
+        assert len(updates) == 3
+        for r in records:
+            update = updates[(r["episode"] - 1) // 3]
+            assert (r["loss"], r["entropy"]) == (update["loss"], update["entropy"])
+            assert math.isfinite(r["loss"]) and math.isfinite(r["entropy"])
+            assert r["skipped_updates"] == 0
+
+    def test_skipped_updates_counts_rounds(self, small_provider, monkeypatch):
+        # rounds 1 and 3 (episodes 1-3 and 7) skip; round 2 (4-6) does not
+        _, lines = self._run_rounds(small_provider, monkeypatch, nan_rounds=(0, 2))
+        records = [json.loads(line) for line in lines]
+        assert [(r["episode"], r["skipped_updates"]) for r in records] == \
+            [(2, 1), (4, 1), (6, 1), (7, 2)]
+        assert [math.isnan(r["loss"]) for r in records] == [True, False, False, True]
+
+    def test_every_update_skipped_is_an_error(self, small_provider, monkeypatch):
+        scene, graph = tiny_world(small_provider)
+        real = policy.a2c_loss_and_grads
+        monkeypatch.setattr(policy, "a2c_loss_and_grads",
+                            lambda *a: (float("nan"),) + real(*a)[1:])
+        records = []
+        with pytest.raises(NonFiniteError, match="all 2 update"):
+            train(TrainConfig(episodes=3, workers=2, t_max=10), [scene], graph, small_provider,
+                  hidden=8, stats_every=100, stats_sink=records.append)
+        # the log still closes on the last episode
+        assert [(r["episode"], r["skipped_updates"]) for r in records] == [(3, 2)]
+        # no update attempted, none skipped
+        train(TrainConfig(episodes=0), [scene], graph, small_provider, hidden=8)
 
     @pytest.mark.parametrize("field", ["entropy_coef", "value_coef"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf"), -0.1])
